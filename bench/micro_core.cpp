@@ -3,6 +3,9 @@
 // transactions, network sends and the coroutine scheduler.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
+
 #include "lssim.hpp"
 
 namespace {
@@ -96,17 +99,41 @@ BENCHMARK(BM_ProtocolMigratoryRmw);
 
 void BM_SchedulerPingPong(benchmark::State& state) {
   // Whole-stack throughput: accesses per second through coroutines,
-  // scheduler, protocol and stats.
+  // scheduler, protocol and stats; System construction, the workload
+  // build and teardown are untimed. The argument is the node count: 4
+  // runs ping-pong; 64 and 256 run the private-RMW micro, whose coherence
+  // work per access is constant, so a fall in items/s as nodes grow is
+  // the scheduler's.
+  const int nodes = static_cast<int>(state.range(0));
+  const bool pingpong = nodes == 4;
+  MachineConfig cfg =
+      MachineConfig::scientific_default(ProtocolKind::kLs, nodes);
+  if (!pingpong) cfg.directory_scheme = DirectoryKind::kLimitedPtr;
+  std::uint64_t accesses = 0;
   for (auto _ : state) {
-    MachineConfig cfg = MachineConfig::scientific_default(ProtocolKind::kLs);
-    System sys(cfg);
-    build_pingpong(sys, PingPongParams{.rounds = 500, .counters = 2});
-    sys.run();
-    benchmark::DoNotOptimize(sys.exec_time());
+    state.PauseTiming();
+    auto sys = std::make_unique<System>(cfg);
+    if (pingpong) {
+      build_pingpong(*sys, PingPongParams{.rounds = 500, .counters = 2});
+    } else {
+      build_private_rmw(*sys,
+                        PrivateRmwParams{.words_per_proc = 512, .sweeps = 1});
+    }
+    state.ResumeTiming();
+    sys->run();
+    benchmark::DoNotOptimize(sys->exec_time());
+    accesses += sys->stats().accesses;
+    state.PauseTiming();
+    sys.reset();
+    state.ResumeTiming();
   }
-  state.SetItemsProcessed(state.iterations() * 500 * 2 * 4 * 2);
+  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
-BENCHMARK(BM_SchedulerPingPong)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SchedulerPingPong)
+    ->Arg(4)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WordMask(benchmark::State& state) {
   Addr addr = 0;

@@ -12,6 +12,7 @@
 // coherence transactions, like SPARC ldstub/swap.
 #pragma once
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -136,6 +137,10 @@ class Processor {
 };
 
 inline void MemAwait::await_suspend(std::coroutine_handle<> handle) noexcept {
+  // A processor has at most one access in flight. A program awaiting on
+  // another program's processor would break this and, with it, the
+  // scheduler's heap order.
+  assert(!proc.has_pending_ && "processor already has a pending access");
   proc.pending_ = req;
   proc.has_pending_ = true;
   proc.resume_point_ = handle;

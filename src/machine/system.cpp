@@ -2,8 +2,10 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "check/invariants.hpp"
+#include "machine/ready_queue.hpp"
 
 namespace lssim {
 
@@ -45,7 +47,11 @@ System::System(const MachineConfig& config, std::uint64_t seed)
 System::~System() = default;
 
 void System::spawn(NodeId node, SimTask<void> program) {
-  assert(node < procs_.size());
+  if (node >= procs_.size()) {
+    throw std::out_of_range("System::spawn: node " + std::to_string(node) +
+                            " out of range for a " +
+                            std::to_string(procs_.size()) + "-node machine");
+  }
   assert(!programs_[node].valid() && "processor already has a program");
   programs_[node] = std::move(program);
 }
@@ -55,27 +61,24 @@ void System::run() {
   ran_ = true;
 
   // Start every program; each runs until its first memory access (or to
-  // completion, for programs that never touch simulated memory).
-  for (auto& program : programs_) {
-    if (program.valid()) {
-      program.resume();
-    }
+  // completion, for programs that never touch simulated memory). Every
+  // processor left with a pending access enters the ready queue.
+  ReadyQueue ready;
+  ready.reserve(procs_.size());
+  for (std::size_t n = 0; n < programs_.size(); ++n) {
+    if (!programs_[n].valid()) continue;
+    programs_[n].resume();
+    const Processor& proc = *procs_[n];
+    if (proc.has_pending_) ready.push({proc.time_, proc.id_});
   }
 
-  for (;;) {
-    // Pick the runnable processor with the earliest local time (ties
-    // broken by node id, keeping runs deterministic).
-    Processor* next = nullptr;
-    for (auto& proc : procs_) {
-      if (!proc->has_pending_) continue;
-      if (next == nullptr || proc->time_ < next->time_) {
-        next = proc.get();
-      }
-    }
-    if (next == nullptr) {
-      break;  // All programs finished (or none issued accesses).
-    }
-    if (cfg_.max_cycles != 0 && next->time_ > cfg_.max_cycles) {
+  // The root is the runnable processor with the earliest local time (ties
+  // to the lowest node id). It stays at the root while its access
+  // executes; its clock only grows, so once its program issues again one
+  // sift-down of the new key restores heap order.
+  while (!ready.empty()) {
+    Processor* next = procs_[ready.top().second].get();
+    if (cfg_.max_cycles != 0 && ready.top().first > cfg_.max_cycles) {
       timed_out_ = true;  // Watchdog: leave remaining programs suspended.
       break;
     }
@@ -139,6 +142,11 @@ void System::run() {
     }
     next->result_ = res.value;
     next->resume_point_.resume();
+    if (next->has_pending_) {
+      ready.replace_top({next->time_, next->id_});
+    } else {
+      ready.pop();  // Its program finished.
+    }
   }
 
   // Fold compute-cycle busy time into the stats and flush classifiers.

@@ -4,9 +4,12 @@
 // system (caches + directory + network) and one Processor per node.
 // Workload programs are SimTask<void> coroutines spawned onto processors;
 // run() interleaves them in global time order: it always executes the
-// pending access of the processor whose local clock is earliest, which
-// realises a sequentially consistent execution with stall-on-L2-miss
-// (paper §4.2).
+// pending access of the processor whose local clock is earliest (ties to
+// the lowest node id), which realises a sequentially consistent execution
+// with stall-on-L2-miss (paper §4.2). Processors with a pending access
+// wait in a ReadyQueue (machine/ready_queue.hpp), a min-heap keyed on
+// (time, node id), so picking the next access costs O(log n) in the node
+// count rather than a scan over every processor.
 #pragma once
 
 #include <functional>
@@ -34,6 +37,8 @@ class System {
 
   /// Assigns `program` to processor `node`. At most one program per
   /// processor may be active; spawn all programs before run().
+  /// Throws std::out_of_range when `node` is not a processor of this
+  /// machine.
   void spawn(NodeId node, SimTask<void> program);
 
   /// Runs all spawned programs to completion and finalizes statistics.
@@ -89,12 +94,6 @@ class System {
       std::function<void(NodeId, const AccessRequest&, Cycles, Cycles)>;
   void add_access_observer(AccessObserver observer) {
     observers_.push_back(std::move(observer));
-  }
-  /// Historical name; despite "set", this has the same append-compose
-  /// semantics as add_access_observer (it never replaces observers
-  /// attached earlier).
-  void set_access_observer(AccessObserver observer) {
-    add_access_observer(std::move(observer));
   }
 
  private:

@@ -1,9 +1,9 @@
 #include "trace/replay_compare.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "exec/parallel_executor.hpp"
+#include "machine/ready_queue.hpp"
 #include "machine/system.hpp"
 #include "mem/address_space.hpp"
 #include "trace/config_hash.hpp"
@@ -122,38 +122,24 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
     memory.directory().reserve(hint);
   }
 
-  constexpr Cycles kDone = std::numeric_limits<Cycles>::max();
   const auto& final_gaps = trace_->meta().final_gaps;
   const std::size_t nodes = streams_.size();
   std::vector<std::size_t> cursor(nodes, 0);
   std::vector<Cycles> clock(nodes, 0);
-  // Cached next issue time per node: only the node that issued changes
-  // between iterations, so the min-scan reads a flat Cycles array
-  // instead of chasing cursors into the record stream.
-  std::vector<Cycles> next_issue(nodes, kDone);
+  ReadyQueue ready;
+  ready.reserve(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
-    if (!streams_[n].empty()) next_issue[n] = streams_[n][0].gap;
+    if (!streams_[n].empty()) {
+      ready.push({streams_[n][0].gap, static_cast<NodeId>(n)});
+    }
   }
 
   // The live scheduler, without the coroutines: always issue the pending
-  // access with the earliest issue time (strict < with ascending node
-  // scan = ties to the lowest node id, exactly like System::run), then
-  // advance that node's clock by the access latency. The recorded gap is
-  // the compute the program did between the accesses.
-  for (;;) {
-    // Min-reduction first (branchless, vectorizable), then the first
-    // index holding the minimum — identical to a strict-< ascending scan
-    // (ties resolve to the lowest node id, exactly like System::run).
-    Cycles best_issue = next_issue[0];
-    for (std::size_t n = 1; n < nodes; ++n) {
-      best_issue = std::min(best_issue, next_issue[n]);
-    }
-    if (best_issue == kDone) break;
-    std::size_t best = 0;
-    while (next_issue[best] != best_issue) {
-      ++best;
-    }
-
+  // access with the earliest issue time, through the same ReadyQueue as
+  // System::run, then advance that node's clock by the access latency.
+  // The recorded gap is the compute the program did between the accesses.
+  while (!ready.empty()) {
+    const auto [best_issue, best] = ready.top();
     const DecodedAccess& d = streams_[best][cursor[best]++];
     AccessRequest req;
     req.op = d.op;
@@ -161,8 +147,7 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
     req.size = d.size;
     req.tag = d.tag;
     req.site = d.site;
-    const AccessResult res =
-        memory.access(static_cast<NodeId>(best), req, best_issue);
+    const AccessResult res = memory.access(best, req, best_issue);
 
     const bool is_write = req.is_write();
     if (is_write) {
@@ -186,15 +171,15 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
     clock[best] = best_issue + res.latency;
     if (cursor[best] < streams_[best].size()) {
       const DecodedAccess& up = streams_[best][cursor[best]];
-      next_issue[best] = clock[best] + up.gap;
+      ready.replace_top({clock[best] + up.gap, best});
       // The replay engine knows each node's future accesses — something a
       // live execution never does. Warm the host cache for the simulated
       // structures the upcoming access will probe; by the time this node
       // issues again, other nodes' accesses have covered the miss
       // latency. Stat-neutral: prefetch touches no simulated state.
-      memory.prefetch(static_cast<NodeId>(best), up.addr);
+      memory.prefetch(best, up.addr);
     } else {
-      next_issue[best] = kDone;
+      ready.pop();
     }
   }
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "mem/shared_heap.hpp"
+#include "workloads/micro.hpp"
 
 namespace lssim {
 namespace {
@@ -142,6 +145,36 @@ TEST(System, RejectsInvalidConfig) {
   MachineConfig cfg = tiny_cfg();
   cfg.num_nodes = 99;
   EXPECT_THROW(System sys(cfg), std::invalid_argument);
+}
+
+TEST(System, SpawnRejectsANodeOutsideTheMachine) {
+  System sys(tiny_cfg());
+  const Addr a = sys.heap().alloc(8, 8);
+  EXPECT_THROW(sys.spawn(4, writer_program(sys, 0, a, 1)), std::out_of_range);
+  EXPECT_THROW(sys.spawn(1000, writer_program(sys, 0, a, 1)),
+               std::out_of_range);
+}
+
+TEST(System, Schedules256NodesInTimeThenNodeOrder) {
+  // The scheduler's contract at scale: accesses execute in non-decreasing
+  // (issue time, node id) order, and the simulated results are the ones
+  // the linear earliest-processor scan produced.
+  MachineConfig cfg = MachineConfig::scientific_default(ProtocolKind::kLs, 256);
+  cfg.directory_scheme = DirectoryKind::kLimitedPtr;
+  System sys(cfg);
+  std::vector<std::pair<Cycles, NodeId>> order;
+  sys.add_access_observer(
+      [&order](NodeId node, const AccessRequest&, Cycles issue, Cycles) {
+        order.emplace_back(issue, node);
+      });
+  build_private_rmw(sys, PrivateRmwParams{.words_per_proc = 512, .sweeps = 2});
+  sys.run();
+  ASSERT_EQ(order.size(), sys.stats().accesses);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    ASSERT_FALSE(order[i] < order[i - 1]) << "access " << i;
+  }
+  EXPECT_EQ(sys.exec_time(), 116116u);
+  EXPECT_EQ(sys.stats().messages_total(), 3585u);
 }
 
 TEST(System, CoherenceInvariantsHoldAfterRun) {

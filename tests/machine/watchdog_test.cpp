@@ -1,6 +1,9 @@
 // The max_cycles watchdog: livelocked programs become diagnosable.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "machine/system.hpp"
 #include "mem/shared_heap.hpp"
 
@@ -66,6 +69,37 @@ TEST(Watchdog, OtherProgramsKeepStateAtStop) {
   EXPECT_TRUE(sys.timed_out());
   EXPECT_GT(sys.stats().accesses, 100u);
   EXPECT_TRUE(sys.memory().check_coherence_invariants());
+}
+
+TEST(Watchdog, Stops256NodesWithEveryProgramStillPending) {
+  // The watchdog reads the earliest pending processor's clock. When it
+  // fires, every spinner is still suspended on an access it has not
+  // executed, and every one of them is past the budget.
+  MachineConfig cfg = tiny_cfg();
+  cfg.num_nodes = 256;
+  cfg.directory_scheme = DirectoryKind::kLimitedPtr;
+  cfg.max_cycles = 20000;
+  System sys(cfg);
+  const Addr flag = sys.heap().alloc(8, 8);
+  std::vector<std::uint64_t> issued(256, 0);
+  Cycles last_issue = 0;
+  sys.add_access_observer([&](NodeId node, const AccessRequest&,
+                              Cycles issue, Cycles) {
+    ++issued[node];
+    last_issue = issue;
+  });
+  for (int n = 0; n < 256; ++n) {
+    sys.spawn(static_cast<NodeId>(n),
+              spin_forever(sys, static_cast<NodeId>(n), flag));
+  }
+  sys.run();
+  EXPECT_TRUE(sys.timed_out());
+  EXPECT_LE(last_issue, cfg.max_cycles);
+  for (int n = 0; n < 256; ++n) {
+    SCOPED_TRACE(n);
+    EXPECT_GT(issued[static_cast<std::size_t>(n)], 0u);
+    EXPECT_GT(sys.proc(static_cast<NodeId>(n)).time(), cfg.max_cycles);
+  }
 }
 
 }  // namespace

@@ -285,8 +285,7 @@ TEST(Trace, MismatchListsBothHashes) {
 
 TEST(Trace, RecorderComposesWithSecondObserver) {
   // Attaching an observer after the recorder (or vice versa) must not
-  // silently drop either party's records — set_access_observer used to
-  // replace the previous observer.
+  // silently drop either party's records: add_access_observer composes.
   System sys(tiny_cfg());
   Trace trace;
   TraceRecorder recorder(sys, trace);
