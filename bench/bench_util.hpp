@@ -28,15 +28,6 @@ inline int parse_jobs(int argc, char** argv) {
   return 1;
 }
 
-/// True when `flag` (e.g. "--replay") appears anywhere on the command
-/// line.
-inline bool parse_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
 /// OLTP bench configuration: the paper's cache organization (2-way L1,
 /// DM L2, 32-byte blocks) with capacities scaled down 8x alongside the
 /// ~100x-miniaturized workload, preserving the paper's miss regime (many
@@ -56,20 +47,6 @@ inline std::vector<RunResult> run_three(MachineConfig cfg,
                                         const WorkloadBuilder& build,
                                         int jobs = 1) {
   return run_experiments(cfg, build, kAllProtocols, /*seed=*/1, jobs);
-}
-
-/// As run_three, but capture-once / replay-many: the workload executes
-/// once (under cfg's own protocol) and the three protocol results come
-/// from replaying the captured access stream. Exact for
-/// feedback-insensitive workloads; the figure binaries keep
-/// execution-driven runs as the default and print a note when this mode
-/// is active (see docs/PERFORMANCE.md).
-inline std::vector<RunResult> run_three_replayed(MachineConfig cfg,
-                                                 const WorkloadBuilder& build,
-                                                 int jobs = 1) {
-  const CapturedTrace captured = capture_trace(cfg, build, /*seed=*/1);
-  const ReplayCompareEngine engine(captured.trace, cfg);
-  return engine.replay_matrix(kAllProtocols, {}, jobs);
 }
 
 inline void print_summary_line(const RunResult& base, const RunResult& r) {

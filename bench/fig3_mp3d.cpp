@@ -13,18 +13,12 @@ int main(int argc, char** argv) {
   using namespace lssim;
 
   const int jobs = bench::parse_jobs(argc, argv);
-  const bool replay = bench::parse_flag(argc, argv, "--replay");
   Mp3dParams params;  // 10k particles, 10 steps (paper configuration).
   const MachineConfig cfg = MachineConfig::scientific_default();
 
   const auto build = [&](System& sys) { build_mp3d(sys, params); };
-  const auto results = replay ? bench::run_three_replayed(cfg, build, jobs)
-                              : bench::run_three(cfg, build, jobs);
+  const auto results = bench::run_three(cfg, build, jobs);
 
-  if (replay) {
-    std::printf("note: --replay — protocols driven by one captured access "
-                "stream (docs/PERFORMANCE.md)\n");
-  }
   print_behavior_figure(std::cout, "MP3D (Figure 3)", results);
   bench::print_summary(results);
   std::printf("paper: exec 100/83/77, traffic 100/83/76, "

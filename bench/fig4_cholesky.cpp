@@ -14,18 +14,12 @@ int main(int argc, char** argv) {
   using namespace lssim;
 
   const int jobs = bench::parse_jobs(argc, argv);
-  const bool replay = bench::parse_flag(argc, argv, "--replay");
   CholeskyParams params;  // n=600, bandwidth=64: footprint 300 kB >> L2.
   const MachineConfig cfg = MachineConfig::scientific_default();
 
   const auto build = [&](System& sys) { build_cholesky(sys, params); };
-  const auto results = replay ? bench::run_three_replayed(cfg, build, jobs)
-                              : bench::run_three(cfg, build, jobs);
+  const auto results = bench::run_three(cfg, build, jobs);
 
-  if (replay) {
-    std::printf("note: --replay — protocols driven by one captured access "
-                "stream (docs/PERFORMANCE.md)\n");
-  }
   print_behavior_figure(std::cout, "Cholesky (Figure 4)", results);
   bench::print_summary(results);
   std::printf("paper: exec 100/100/69, AD removes ~nothing at 4p, "

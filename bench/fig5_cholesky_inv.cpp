@@ -17,11 +17,6 @@ int main(int argc, char** argv) {
   using namespace lssim;
 
   const int jobs = bench::parse_jobs(argc, argv);
-  const bool replay = bench::parse_flag(argc, argv, "--replay");
-  if (replay) {
-    std::printf("note: --replay — protocols driven by one captured access "
-                "stream per processor count (docs/PERFORMANCE.md)\n");
-  }
   for (int procs : {4, 16, 32}) {
     CholeskyParams params;
     params.n = 600;
@@ -30,9 +25,7 @@ int main(int argc, char** argv) {
         ProtocolKind::kBaseline, procs);
 
     const auto build = [&](System& sys) { build_cholesky(sys, params); };
-    std::vector<RunResult> results =
-        replay ? bench::run_three_replayed(cfg, build, jobs)
-               : bench::run_three(cfg, build, jobs);
+    std::vector<RunResult> results = bench::run_three(cfg, build, jobs);
     std::vector<std::string> labels;
     for (ProtocolKind kind : bench::kAllProtocols) {
       labels.push_back(std::string(to_string(kind)) + "-" +

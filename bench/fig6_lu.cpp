@@ -16,18 +16,12 @@ int main(int argc, char** argv) {
   using namespace lssim;
 
   const int jobs = bench::parse_jobs(argc, argv);
-  const bool replay = bench::parse_flag(argc, argv, "--replay");
   LuParams params;  // 256x256 (paper configuration).
   const MachineConfig cfg = MachineConfig::scientific_default();
 
   const auto build = [&](System& sys) { build_lu(sys, params); };
-  const auto results = replay ? bench::run_three_replayed(cfg, build, jobs)
-                              : bench::run_three(cfg, build, jobs);
+  const auto results = bench::run_three(cfg, build, jobs);
 
-  if (replay) {
-    std::printf("note: --replay — protocols driven by one captured access "
-                "stream (docs/PERFORMANCE.md)\n");
-  }
   print_behavior_figure(std::cout, "LU (Figure 6)", results);
   bench::print_summary(results);
   std::printf("paper: exec 100/94/84, traffic 100/89/80, "

@@ -14,18 +14,12 @@ int main(int argc, char** argv) {
   using namespace lssim;
 
   const int jobs = bench::parse_jobs(argc, argv);
-  const bool replay = bench::parse_flag(argc, argv, "--replay");
   OltpParams params;  // 40 branches (paper configuration).
   const MachineConfig cfg = bench::oltp_bench_config();
 
   const auto build = [&](System& sys) { build_oltp(sys, params); };
-  const auto results = replay ? bench::run_three_replayed(cfg, build, jobs)
-                              : bench::run_three(cfg, build, jobs);
+  const auto results = bench::run_three(cfg, build, jobs);
 
-  if (replay) {
-    std::printf("note: --replay — protocols driven by one captured access "
-                "stream (docs/PERFORMANCE.md)\n");
-  }
   print_behavior_figure(std::cout, "OLTP (Figure 7)", results);
   bench::print_summary(results);
   std::printf("baseline invalidations per global write: %.2f "

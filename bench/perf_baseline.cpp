@@ -6,33 +6,21 @@
 // exec-cycle count is identical — the determinism guarantee of
 // exec/parallel_executor.hpp, enforced on every baseline capture.
 //
-//   perf_baseline [--jobs N] [--out FILE] [--quick] [--reps N]
-//                 [--note TEXT]...
+//   perf_baseline [--jobs N] [--out FILE] [--quick] [--note TEXT]...
 //
 //   --jobs N   worker threads for the parallel pass (default: all cores)
 //   --out F    output path (default BENCH_results.json; "-" = stdout)
 //   --quick    CI-sized workloads (~seconds instead of minutes)
-//   --reps N   repetitions of each replay-compare sweep; the minimum
-//              wall clock per side is recorded (default 3 — shared
-//              hosts jitter individual passes by tens of percent)
 //   --note T   append a provenance note to the document (repeatable) —
 //              e.g. a measured comparison against an older build
 //
-// It also measures the capture-once / replay-many engine: per workload,
-// a full registered-protocol sweep executed live vs replayed from one
-// captured trace (the `replay_compare` array in the JSON), gated on the
-// same-protocol replay being bit-identical to its live execution.
-//
 // Compare two baselines with tools/bench_compare.py. Exit codes: 0 ok,
-// 1 determinism violation (parallel != serial cycles) or replay
-// disagreement, 3 output failure.
-#include <algorithm>
+// 1 determinism violation (parallel != serial cycles), 3 output failure.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -192,43 +180,6 @@ struct RunTiming {
   RunResult result;
 };
 
-/// One workload for the capture-once / replay-many measurement: a full
-/// registered-protocol sweep executed live vs driven from one captured
-/// trace (same sizes as the corresponding figure entries above).
-struct ReplaySpec {
-  const char* name;
-  MachineConfig cfg;
-  WorkloadBuilder build;
-};
-
-std::vector<ReplaySpec> build_replay_suite(bool quick) {
-  std::vector<ReplaySpec> suite;
-
-  Mp3dParams mp3d;
-  if (quick) {
-    mp3d.particles = 2000;
-    mp3d.steps = 3;
-  }
-  suite.push_back({"fig3_mp3d", MachineConfig::scientific_default(),
-                   [mp3d](System& sys) { build_mp3d(sys, mp3d); }});
-
-  LuParams lu;
-  if (quick) {
-    lu.n = 96;
-  }
-  suite.push_back({"fig6_lu", MachineConfig::scientific_default(),
-                   [lu](System& sys) { build_lu(sys, lu); }});
-
-  OltpParams oltp;
-  if (quick) {
-    oltp.txns_per_proc = 300;
-  }
-  suite.push_back({"fig7_oltp", bench::oltp_bench_config(),
-                   [oltp](System& sys) { build_oltp(sys, oltp); }});
-
-  return suite;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -237,15 +188,12 @@ int main(int argc, char** argv) {
   int jobs = default_jobs();
   std::string out_path = "BENCH_results.json";
   bool quick = false;
-  int reps = 3;
   std::vector<std::string> notes;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       jobs = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--note") == 0 && i + 1 < argc) {
       notes.emplace_back(argv[++i]);
     } else if (std::strcmp(argv[i], "--quick") == 0) {
@@ -253,15 +201,12 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: perf_baseline [--jobs N] [--out FILE] [--quick] "
-                   "[--reps N] [--note TEXT]...\n");
+                   "[--note TEXT]...\n");
       return 2;
     }
   }
   if (jobs <= 0) {
     jobs = default_jobs();
-  }
-  if (reps <= 0) {
-    reps = 1;
   }
 
   const std::vector<RunSpec> suite = build_suite(quick);
@@ -298,100 +243,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(parallel[i].exec_time));
       return 1;
     }
-  }
-
-  // Capture-once / replay-many pass (docs/PERFORMANCE.md): per workload,
-  // time a full registered-protocol sweep executed live, then the same
-  // sweep driven from one captured access stream, and gate on the
-  // same-protocol replay being bit-identical to its live execution.
-  //
-  // Accounting: `speedup` is execute-sweep over replay-sweep wall clock —
-  // the steady-state ratio of the capture-once / replay-many workflow,
-  // where one capture (recorded separately as capture_seconds) serves
-  // every later sweep. `speedup_with_capture` folds the capture into the
-  // replay side: the ratio for a one-shot compare that starts from
-  // nothing. Each sweep runs `reps` times and the minimum per side is
-  // kept — wall-clock minima are the standard noise filter on shared
-  // hosts, and both sides get the same treatment.
-  const std::vector<ProtocolKind> all_kinds = all_protocol_kinds();
-  Json::Array replay_docs;
-  for (const ReplaySpec& spec : build_replay_suite(quick)) {
-    const auto capture_start = Clock::now();
-    const CapturedTrace captured =
-        capture_trace(spec.cfg, spec.build, /*seed=*/1, spec.name);
-    const double capture_seconds = seconds_since(capture_start);
-
-    const ReplayCompareEngine engine(captured.trace, spec.cfg);
-    double execute_seconds = 0.0;
-    double replay_seconds = 0.0;
-    std::vector<RunResult> replayed;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto exec_start = Clock::now();
-      for (ProtocolKind kind : all_kinds) {
-        MachineConfig cfg = spec.cfg;
-        cfg.protocol.kind = kind;
-        const RunResult r = run_experiment(cfg, spec.build, /*seed=*/1);
-        (void)r;
-      }
-      const double exec_pass = seconds_since(exec_start);
-
-      const auto replay_start = Clock::now();
-      std::vector<RunResult> pass;
-      pass.reserve(all_kinds.size());
-      for (ProtocolKind kind : all_kinds) {
-        pass.push_back(engine.replay(kind));
-      }
-      const double replay_pass = seconds_since(replay_start);
-
-      if (rep == 0) {
-        execute_seconds = exec_pass;
-        replay_seconds = replay_pass;
-        replayed = std::move(pass);
-      } else {
-        execute_seconds = std::min(execute_seconds, exec_pass);
-        replay_seconds = std::min(replay_seconds, replay_pass);
-      }
-    }
-
-    // Same-protocol replay must reproduce the captured run exactly.
-    const auto base_it = std::find(all_kinds.begin(), all_kinds.end(),
-                                   spec.cfg.protocol.kind);
-    const std::size_t base_idx =
-        static_cast<std::size_t>(base_it - all_kinds.begin());
-    const std::vector<std::string> diffs =
-        compare_replay(captured.executed, replayed[base_idx]);
-    if (!diffs.empty()) {
-      std::fprintf(stderr,
-                   "perf_baseline: REPLAY DISAGREEMENT in %s (%s):\n",
-                   spec.name, to_string(spec.cfg.protocol.kind));
-      for (const std::string& diff : diffs) {
-        std::fprintf(stderr, "perf_baseline:   %s\n", diff.c_str());
-      }
-      return 1;
-    }
-
-    Json::Object entry;
-    entry.emplace_back("name", Json(std::string(spec.name)));
-    entry.emplace_back("protocols", Json(all_kinds.size()));
-    entry.emplace_back("reps", Json(static_cast<std::uint64_t>(reps)));
-    entry.emplace_back("execute_seconds", Json(execute_seconds));
-    entry.emplace_back("capture_seconds", Json(capture_seconds));
-    entry.emplace_back("replay_seconds", Json(replay_seconds));
-    entry.emplace_back(
-        "speedup",
-        Json(replay_seconds > 0 ? execute_seconds / replay_seconds : 0.0));
-    entry.emplace_back(
-        "speedup_with_capture",
-        Json(capture_seconds + replay_seconds > 0
-                 ? execute_seconds / (capture_seconds + replay_seconds)
-                 : 0.0));
-    entry.emplace_back("agree", Json(true));
-    std::fprintf(stderr,
-                 "perf_baseline: replay_compare %s: execute %.2fs, "
-                 "capture %.2fs, replay %.2fs (speedup %.2fx)\n",
-                 spec.name, execute_seconds, capture_seconds, replay_seconds,
-                 replay_seconds > 0 ? execute_seconds / replay_seconds : 0.0);
-    replay_docs.emplace_back(std::move(entry));
   }
 
   // Aggregate per figure, preserving suite order.
@@ -488,7 +339,6 @@ int main(int argc, char** argv) {
     }
     doc.emplace_back("notes", Json(std::move(note_docs)));
   }
-  doc.emplace_back("replay_compare", Json(std::move(replay_docs)));
   doc.emplace_back("figures", Json(std::move(figures)));
   const Json json{std::move(doc)};
 

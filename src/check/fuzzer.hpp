@@ -32,11 +32,10 @@ struct FuzzOptions {
   /// Protocol kinds to draw from. Empty = all registered.
   std::vector<ProtocolKind> protocols;
   /// Replay every generated trace under EVERY protocol kind instead of
-  /// sampling one per iteration: the capture-once / replay-many pattern
-  /// (the generated access stream is fixed, so one generation feeds the
-  /// whole protocol sweep and divergent protocol bugs surface on the
-  /// same stimulus). Off by default — sampling covers more streams per
-  /// CPU-second.
+  /// sampling one per iteration (the generated access stream is fixed,
+  /// so one generation feeds the whole protocol sweep and divergent
+  /// protocol bugs surface on the same stimulus). Off by default —
+  /// sampling covers more streams per CPU-second.
   bool compare_protocols = false;
   /// Also randomize §5.5 knobs and the directory scheme (on by default;
   /// off pins the paper-default knobs, which the LS tag model verifies

@@ -144,15 +144,6 @@ class Directory {
     }
   }
 
-  /// Host-cache warming hint: pulls `block`'s home probe slot into the
-  /// host cache ahead of the entry() an upcoming global transaction will
-  /// perform. No simulated effect (see Cache::prefetch).
-  void prefetch(Addr block) const noexcept {
-    if (!slots_.empty()) {
-      __builtin_prefetch(&slots_[probe_start(block)], 1);
-    }
-  }
-
   /// Read-only lookup that does not create an entry.
   [[nodiscard]] const DirEntry* find(Addr block) const noexcept {
     // The sentinel would false-hit the MRU check of a never-grown table

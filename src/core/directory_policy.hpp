@@ -64,11 +64,16 @@ class DirectoryPolicy {
       const DirEntry& entry) const noexcept = 0;
 
   /// Caches that must receive an invalidation when `requester` acquires
-  /// ownership: the believed sharers minus the requester itself.
+  /// ownership: the believed sharers minus the requester itself and
+  /// minus an Owned entry's owner. The engine always handles the owner
+  /// on its own leg; an imprecise believed set can cover it.
   [[nodiscard]] SharerSet invalidation_targets(const DirEntry& entry,
                                                NodeId requester) const {
     SharerSet targets = believed_sharers(entry);
     targets.reset(requester);
+    if (entry.state == DirState::kOwned && entry.owner != kInvalidNode) {
+      targets.reset(entry.owner);
+    }
     return targets;
   }
 

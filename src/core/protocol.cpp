@@ -37,8 +37,6 @@ MemorySystem::MemorySystem(const MachineConfig& config, AddressSpace& space,
   update_mode_ = policy_->writes_update_sharers();
   trust_updates_ = config.protocol.trust_update_sharers;
   fs_enabled_ = config.classify_false_sharing;
-  l1_fast_hit_ = !fs_enabled_ && config.l2.assoc == 1;
-  l1_lru_live_ = config.l1.assoc > 1;
   policy_->attach_directory_policy(dirpol_.get());
   if (dir_entry_limit_ != 0) {
     // Pre-size the table so entry() never rehashes: the eviction path
@@ -638,7 +636,7 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
     // The organisation resolves who must be invalidated (or updated):
     // the exact sharer set under full-map, a broadcast after Dir_iB
     // overflow, whole regions under coarse vectors. A previous Owned
-    // owner is a target too — it is not in the sharer word.
+    // owner is a target too — invalidation_targets() leaves it out.
     SharerSet targets = dirpol_->invalidation_targets(e, node);
     if (e.state == DirState::kOwned && e.owner != node) {
       targets.set(e.owner);
@@ -922,45 +920,6 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
         policy_->observe_access(node, block, req.site, is_write);
   }
 
-  // L1-hit fast path: valid L1 lines mirror their L2 twin's state
-  // (inclusion invariant), so one small-array probe classifies the
-  // access. Eligible only when the L2-side per-hit bookkeeping is dead:
-  // classifier off (no accessed-word mask) and direct-mapped L2 (no LRU
-  // stamp). Everything observable — counters, latency, policy training,
-  // LStemp conversion, checker — matches the general path exactly.
-  if (l1_fast_hit_) {
-    CacheLine* line1 = ch.l1().find(block);
-    if (line1 != nullptr &&
-        (!is_write || line1->state == CacheState::kModified ||
-         line1->state == CacheState::kLStemp)) {
-      result.l1_hit = true;
-      result.l2_hit = true;
-      result.latency = lat_.l1_access;
-      stats_.l1_hits += 1;
-      ch.l1().touch(*line1);
-      if (is_write && line1->state == CacheState::kLStemp) {
-        CacheLine* line2 = ch.l2().find(block);
-        line2->state = CacheState::kModified;
-        line1->state = CacheState::kModified;
-        stats_.eliminated_acquisitions += 1;
-        log_.record(now, ProtoEventKind::kLocalWrite, block, node,
-                    DirState::kExcl, true);
-        count_event(node, ProtoEventKind::kLocalWrite);
-        trace_instant(node, ProtoEventKind::kLocalWrite, block, now);
-        // This store would have been a global write action under the
-        // baseline protocol; the home learns about it lazily.
-        oracle_.on_global_write(node, block, /*eliminated=*/true, req.tag);
-      }
-      if (!lean_replay_) {
-        result.value = apply_data(req);
-      }
-      if (checker_ != nullptr) {
-        checker_->on_access(*this, node, req, result, now);
-      }
-      return result;
-    }
-  }
-
   // One associative search resolves both levels; the returned line
   // pointers carry the whole access (LRU touch, state change, classifier
   // mask) so hits never repeat the lookup.
@@ -1017,26 +976,6 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
                                   req.site);
       result.latency = done - now;
     }
-    // The transaction refilled (or re-created) the line. When the fast
-    // hit path is eligible the post-transaction bookkeeping is almost
-    // entirely dead (classifier off, direct-mapped L2): only a
-    // set-associative L1's LRU stamp survives, so skip the L2 re-probe
-    // and finish here.
-    if (l1_fast_hit_) {
-      if (l1_lru_live_) {
-        CacheLine* line1 = ch.l1().find(block);
-        if (line1 != nullptr) {
-          ch.l1().touch(*line1);
-        }
-      }
-      if (!lean_replay_) {
-        result.value = apply_data(req);
-      }
-      if (checker_ != nullptr) {
-        checker_->on_access(*this, node, req, result, now);
-      }
-      return result;
-    }
     lines.l2 = ch.l2().find(block);
     lines.l1 = ch.l1().find(block);
   }
@@ -1052,9 +991,7 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
   } else {
     ch.record_access(lines.l1, *lines.l2, 0);
   }
-  if (!lean_replay_) {
-    result.value = apply_data(req);
-  }
+  result.value = apply_data(req);
   if (checker_ != nullptr) {
     checker_->on_access(*this, node, req, result, now);
   }

@@ -98,29 +98,6 @@ class MemorySystem {
   /// Executes one access atomically at simulated time `now`.
   AccessResult access(NodeId node, const AccessRequest& req, Cycles now);
 
-  /// Trace-replay fast path: skips simulated data movement (the
-  /// AddressSpace load/store per access). Values feed only the live
-  /// workload's control flow and the invariant checker — never statistics
-  /// — so a replayed run's results are unchanged; AccessResult::value
-  /// reads as zero. Only the ReplayCompareEngine may enable this (a
-  /// driving workload or attached checker requires real values).
-  void enable_lean_replay() noexcept { lean_replay_ = true; }
-
-  /// Host-cache warming hint for callers that know a node's *future*
-  /// accesses (the replay engine does; a live workload cannot): pulls the
-  /// simulated L1/L2 sets, directory probe slot and oracle slot that
-  /// `access(node, addr, ...)` will touch into the host cache. Purely a
-  /// host-side latency optimisation — no simulated state is read or
-  /// written, so results are identical with or without the hint.
-  void prefetch(NodeId node, Addr addr) const noexcept {
-    const CacheHierarchy& ch = caches_[node];
-    const Addr block = ch.l2().block_of(addr);
-    ch.l1().prefetch(block);
-    ch.l2().prefetch(block);
-    dir_.prefetch(block);
-    oracle_.prefetch(block);
-  }
-
   /// End-of-run bookkeeping: resolves deferred false-sharing
   /// classifications for lines still resident.
   void finalize();
@@ -283,17 +260,6 @@ class MemorySystem {
   /// Cached cfg_.classify_false_sharing: gates the word-mask computation
   /// and classifier hooks out of the hot path in the common (off) case.
   bool fs_enabled_ = false;
-  /// L1 hits may resolve from the L1 probe alone: requires the classifier
-  /// off (no accessed-word mask on the L2 line) and a direct-mapped L2
-  /// (no LRU stamp) — then the per-hit L2-side bookkeeping is dead and
-  /// the inclusion invariant (L1 state == L2 state) decides the access.
-  bool l1_fast_hit_ = false;
-  /// Set-associative L1 (its LRU stamp is live): after a global fill the
-  /// fast path must still re-find and touch the L1 line.
-  bool l1_lru_live_ = false;
-  /// Replay fast path: skip simulated data movement (see
-  /// enable_lean_replay).
-  bool lean_replay_ = false;
   /// Per-node, per-kind counter handles (registered once at startup).
   std::vector<std::array<CounterHandle, kNumProtoEventKinds>> ev_counters_;
   /// Ownership-latency histograms (`ownership.latency{op=...}`), one per

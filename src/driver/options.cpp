@@ -143,22 +143,6 @@ std::string driver_usage() {
                      0 = one line per completed run)
   --check-invariants verify coherence invariants after every access
                      (docs/VERIFICATION.md; slow — exit 4 on violation)
-
-  Capture-once / replay-many (docs/PERFORMANCE.md):
-  --replay-compare   execute the workload once, then drive the whole
-                     protocols x directories matrix by replaying the
-                     captured access stream (exact for runs whose access
-                     stream is timing-independent; figures stay
-                     execution-driven)
-  --capture-trace F  save the captured trace (versioned format with a
-                     machine-config hash) for later --replay-from
-  --replay-from F    replay a saved trace instead of capturing; exits 2
-                     when the trace's config hash does not match the
-                     machine being simulated
-  --replay-crosscheck
-                     also execute every matrix cell live and verify the
-                     replayed stats match bit-for-bit (exit 5 and a
-                     field-by-field diff on divergence)
   --help             this text
 )";
 }
@@ -321,16 +305,6 @@ bool parse_driver_args(int argc, const char* const* argv,
     } else if (arg == "--compare") {
       options->compare = true;
       options->protocols = all_protocol_kinds();
-    } else if (arg == "--capture-trace") {
-      if (!need_value(i, &value)) return false;
-      options->capture_trace_out = value;
-    } else if (arg == "--replay-from") {
-      if (!need_value(i, &value)) return false;
-      options->replay_from = value;
-    } else if (arg == "--replay-compare") {
-      options->replay_compare = true;
-    } else if (arg == "--replay-crosscheck") {
-      options->replay_crosscheck = true;
     } else if (arg == "--procs") {
       if (!need_value(i, &value)) return false;
       std::uint64_t n = 0;

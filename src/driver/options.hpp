@@ -62,27 +62,12 @@ struct DriverOptions {
   /// hardware thread. Results are deterministic for any value (see
   /// exec/parallel_executor.hpp).
   int jobs = 0;
-  // Capture-once / replay-many (docs/PERFORMANCE.md). Any of these
-  // switches the driver from execution-driven runs (the default, and the
-  // ground truth for every figure) to trace replay.
-  std::string capture_trace_out;  ///< Save the captured trace here.
-  std::string replay_from;        ///< Replay a saved trace (else capture).
-  bool replay_compare = false;    ///< Drive the matrix from one capture.
-  /// Also execute every cell live and assert stat agreement with its
-  /// replay (exit 5 on divergence).
-  bool replay_crosscheck = false;
   // Discovery flags: print the registered names (one per line, exit 0)
   // and do nothing else — for scripts that build sweep matrices.
   bool list_protocols = false;
   bool list_directories = false;
   bool list_interconnects = false;
   bool show_help = false;
-
-  /// True when any replay-mode option was given.
-  [[nodiscard]] bool replay_mode() const noexcept {
-    return replay_compare || replay_crosscheck || !replay_from.empty() ||
-           !capture_trace_out.empty();
-  }
 
   /// True when any --list-* discovery flag was given.
   [[nodiscard]] bool list_mode() const noexcept {

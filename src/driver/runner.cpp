@@ -17,7 +17,6 @@
 #include "telemetry/latency_report.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/perfetto.hpp"
-#include "trace/replay_compare.hpp"
 
 #include "workloads/cholesky.hpp"
 #include "workloads/lu.hpp"
@@ -382,82 +381,6 @@ std::string run_label(const DriverOptions& options, const RunResult& r) {
 }
 
 }  // namespace
-
-ReplayDriverOutcome run_driver_replay(const DriverOptions& options) {
-  // The capture (or loaded-trace) machine: first matrix cell. Replay
-  // only re-runs the protocol layer, so which cell captures is
-  // irrelevant for feedback-insensitive workloads and documented as the
-  // first cell otherwise.
-  MachineConfig base = options.machine;
-  base.protocol.kind = options.protocols.front();
-  if (!options.directories.empty()) {
-    base.directory_scheme = options.directories.front();
-  }
-  const std::string problem = base.validate();
-  if (!problem.empty()) {
-    throw std::invalid_argument("invalid machine configuration: " + problem);
-  }
-
-  ReplayDriverOutcome outcome;
-  Trace trace;
-  if (!options.replay_from.empty()) {
-    std::ifstream is(options.replay_from, std::ios::binary);
-    if (!is) {
-      throw std::runtime_error("cannot open trace file: " +
-                               options.replay_from);
-    }
-    trace = Trace::load(is);
-  } else {
-    trace = capture_trace(base, make_driver_builder(options), options.seed,
-                          options.workload)
-                .trace;
-  }
-  if (!options.capture_trace_out.empty()) {
-    std::ofstream os(options.capture_trace_out, std::ios::binary);
-    if (!os) {
-      throw std::runtime_error("cannot open " + options.capture_trace_out +
-                               " for the captured trace");
-    }
-    trace.save(os);
-    os.flush();
-    if (!os) {
-      throw std::runtime_error("failed writing trace to " +
-                               options.capture_trace_out);
-    }
-  }
-  outcome.trace_accesses = trace.size();
-
-  const ReplayCompareEngine engine(trace, base);
-  outcome.results =
-      engine.replay_matrix(options.protocols, options.directories,
-                           options.jobs);
-
-  if (options.replay_crosscheck) {
-    // Ground truth: execute every cell live (same matrix, same fan-out)
-    // and diff each replayed RunResult against it field by field.
-    const std::size_t dirs =
-        std::max<std::size_t>(1, options.directories.size());
-    outcome.executed = parallel_map<RunResult>(
-        options.protocols.size() * dirs, options.jobs,
-        [&options, &base, dirs](std::size_t i) {
-          MachineConfig cfg = base;
-          cfg.protocol.kind = options.protocols[i / dirs];
-          if (!options.directories.empty()) {
-            cfg.directory_scheme = options.directories[i % dirs];
-          }
-          return run_experiment(cfg, make_driver_builder(options),
-                                options.seed);
-        });
-    for (std::size_t i = 0; i < outcome.results.size(); ++i) {
-      const std::string label = run_label(options, outcome.results[i]);
-      for (const std::string& diff :
-           compare_replay(outcome.executed[i], outcome.results[i])) {
-        outcome.divergences.push_back(label + ": " + diff);
-      }
-    }
-  }
-  return outcome;
-}
 
 bool write_driver_artifacts(const DriverOptions& options,
                             const std::vector<DriverRun>& runs,

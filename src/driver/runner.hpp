@@ -93,29 +93,6 @@ DriverRun run_driver_workload_captured(const DriverOptions& options,
 std::vector<DriverRun> run_driver_workloads_captured(
     const DriverOptions& options, HeartbeatEmitter* heartbeat = nullptr);
 
-/// Outcome of a capture-once / replay-many driver invocation.
-struct ReplayDriverOutcome {
-  /// Replayed results, protocols × directories matrix order (the same
-  /// order run_driver_workloads_captured produces).
-  std::vector<RunResult> results;
-  /// --replay-crosscheck: the live executed result per matrix cell
-  /// (empty otherwise).
-  std::vector<RunResult> executed;
-  /// --replay-crosscheck: one "label: field: executed N, replayed M"
-  /// line per diverging stat; empty when every cell agrees.
-  std::vector<std::string> divergences;
-  std::size_t trace_accesses = 0;  ///< Length of the driving trace.
-};
-
-/// Capture-once / replay-many driver path (--replay-compare & friends):
-/// executes the workload once (or loads --replay-from), then drives the
-/// protocols × directories matrix by replaying the captured stream
-/// across up to options.jobs threads. Saves the trace to
-/// --capture-trace when requested. Throws TraceConfigMismatch when a
-/// loaded trace's config hash does not match the machine, and the usual
-/// std::invalid_argument for bad workloads/configs.
-ReplayDriverOutcome run_driver_replay(const DriverOptions& options);
-
 /// Writes the requested artifact files (--metrics-out, --perfetto-out,
 /// --manifest-out, --latency-out, --audit-out). Returns false and sets
 /// `*error` when any output stream fails; artifacts already written stay

@@ -45,10 +45,6 @@
 #include "telemetry/telemetry.hpp"
 #include "sync/spinlock.hpp"
 #include "sync/task_queue.hpp"
-#include "trace/config_hash.hpp"
-#include "trace/recorder.hpp"
-#include "trace/replay_compare.hpp"
-#include "trace/trace.hpp"
 #include "workloads/cholesky.hpp"
 #include "workloads/harness.hpp"
 #include "workloads/stencil.hpp"

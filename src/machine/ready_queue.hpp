@@ -2,8 +2,8 @@
 //
 // A binary min-heap of (time, node) keys. Keys compare lexicographically,
 // so equal times resolve to the lowest node id, which keeps every run
-// deterministic. Both the live scheduler (System::run) and the replay
-// engine (ReplayCompareEngine) order their accesses through this type.
+// deterministic. The scheduler (System::run) orders every access
+// through this type.
 //
 // The scheduler keeps the running node at the root while its access
 // executes, then either replaces the root's key with the node's next

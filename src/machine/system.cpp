@@ -8,19 +8,29 @@
 #include "machine/ready_queue.hpp"
 
 namespace lssim {
+namespace {
+
+/// `config`, or std::invalid_argument when it describes an impossible
+/// machine. cfg_ is the first member, so this runs before any member is
+/// built from the config.
+const MachineConfig& validated(const MachineConfig& config) {
+  const std::string problem = config.validate();
+  if (!problem.empty()) {
+    throw std::invalid_argument("invalid MachineConfig: " + problem);
+  }
+  return config;
+}
+
+}  // namespace
 
 System::System(const MachineConfig& config, std::uint64_t seed)
-    : cfg_(config),
+    : cfg_(validated(config)),
       stats_(config.num_nodes),
       space_(config.num_nodes, config.page_bytes),
       heap_(space_),
       telemetry_(config.telemetry),
       memory_(config, space_, stats_, &telemetry_),
       timeline_(config.stats_epoch) {
-  const std::string problem = config.validate();
-  if (!problem.empty()) {
-    throw std::invalid_argument("invalid MachineConfig: " + problem);
-  }
   if (config.check_invariants) {
     checker_ = std::make_unique<check::InvariantChecker>();
     memory_.attach_checker(checker_.get());

@@ -97,7 +97,7 @@ class System {
   }
 
  private:
-  MachineConfig cfg_;
+  MachineConfig cfg_;  ///< First member: validated before the rest.
   Stats stats_;
   AddressSpace space_;
   SharedHeap heap_;

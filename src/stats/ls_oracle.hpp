@@ -74,37 +74,10 @@ class LoadStoreOracle {
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// Host-cache warming hint: pulls `block`'s probe slot into the host
-  /// cache ahead of an upcoming access. No simulated effect (see
-  /// Cache::prefetch).
-  void prefetch(Addr block) const noexcept {
-    if (enabled_ && !slots_.empty()) {
-      __builtin_prefetch(&slots_[probe_start(block)], 1);
-    }
-  }
-
   void on_global_read(NodeId node, Addr block) {
     if (!enabled_) return;
     state_for(block).pending_reader = node;
   }
-
-  /// Pre-sizes the table so `blocks` distinct blocks fit without
-  /// growing. The table is never iterated and slots are never erased, so
-  /// capacity is unobservable — results are identical, only the
-  /// grow-rehash churn disappears. The replay engine uses the population
-  /// observed on an earlier replay of the same trace as the hint.
-  void reserve(std::size_t blocks) {
-    std::size_t capacity = std::max(slots_.size(), kInitialCapacity);
-    while (capacity - capacity / 4 < blocks) {
-      capacity *= 2;
-    }
-    if (capacity > slots_.size()) {
-      grow(capacity);
-    }
-  }
-
-  /// Distinct blocks tracked so far (replay pre-sizing, tests).
-  [[nodiscard]] std::size_t population() const noexcept { return size_; }
 
   /// `eliminated` marks a would-be global write satisfied locally in
   /// state LStemp.

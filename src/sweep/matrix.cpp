@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "driver/runner.hpp"
-#include "trace/config_hash.hpp"
+#include "sweep/config_hash.hpp"
 
 namespace lssim {
 namespace {

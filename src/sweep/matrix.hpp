@@ -10,7 +10,7 @@
 // same validator the driver uses), so impossible machines — a full-map
 // directory past 64 nodes, an L1 larger than its L2, a non-power-of-two
 // set count — are pruned instead of erroring mid-sweep. Units are keyed
-// by sweep_config_hash (trace/config_hash.hpp): the runner
+// by sweep_config_hash (sweep/config_hash.hpp): the runner
 // (sweep/runner.hpp) skips keys already present in the results store, so
 // an interrupted sweep resumes without re-executing anything.
 //

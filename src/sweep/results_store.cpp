@@ -4,7 +4,7 @@
 
 #include "telemetry/json.hpp"
 #include "telemetry/manifest.hpp"
-#include "trace/config_hash.hpp"
+#include "sweep/config_hash.hpp"
 
 namespace lssim {
 namespace {

@@ -58,8 +58,8 @@ struct RunResult {
 /// Snapshot of a finished System into a RunResult.
 [[nodiscard]] RunResult collect(System& sys);
 
-/// As collect(System&), from the pieces a System owns — used by trace
-/// replay, which drives a MemorySystem without a System around it.
+/// As collect(System&), from the pieces a System owns — for callers
+/// that drive a MemorySystem without a System around it.
 [[nodiscard]] RunResult collect(const MachineConfig& config,
                                 const Stats& stats, MemorySystem& memory,
                                 Cycles exec_time);

@@ -26,11 +26,10 @@ namespace lssim {
 // programs rendezvous on a spin barrier before their main loop. Turning
 // it off (`sync = 0`) removes the only timing-dependent control flow in
 // private-RMW and read-mostly, making their access streams independent
-// of protocol-induced latencies — the feedback-insensitive workloads the
-// trace replay cross-check asserts bit-identical stats on (ping-pong
-// stays feedback-sensitive regardless: its turn-word spin count depends
-// on timing by design). See docs/PERFORMANCE.md "Capture once, replay
-// many".
+// of protocol-induced latencies (ping-pong stays feedback-sensitive
+// regardless: its turn-word spin count depends on timing by design). It
+// also skips the N-way barrier spin, which dominates short runs on large
+// machines.
 
 struct PingPongParams {
   int rounds = 1000;       ///< Turns per processor.

@@ -15,6 +15,81 @@ MachineConfig limited_cfg(ProtocolKind kind, int pointers) {
   return cfg;
 }
 
+std::uint64_t msgs(ProtocolFixture& f, MsgType type) {
+  return f.stats().messages_by_type[static_cast<int>(type)];
+}
+
+/// Owner 1 holds `a` Owned; sharers {2, 3} overflow a single pointer, so
+/// the believed set is a broadcast that covers the owner too.
+Addr owned_with_overflowed_sharers(ProtocolFixture& f) {
+  const Addr a = f.on_home(0);
+  (void)f.write(1, a);
+  (void)f.read(2, a);  // Read-on-dirty: owner 1 keeps the block Owned.
+  (void)f.read(3, a);  // Second sharer overflows the one pointer.
+  EXPECT_EQ(f.dir(a).state, DirState::kOwned);
+  EXPECT_EQ(f.dir(a).owner, 1);
+  EXPECT_TRUE(f.dir(a).imprecise);
+  return a;
+}
+
+TEST(LimitedDir, WriteToOverflowedOwnedBlockInvalidatesOwnerOnce) {
+  ProtocolFixture f(limited_cfg(ProtocolKind::kMoesi, 1));
+  const Addr a = owned_with_overflowed_sharers(f);
+  const std::uint64_t invals = f.stats().invalidations_sent;
+  const std::uint64_t inval_msgs = msgs(f, MsgType::kInval);
+  const std::uint64_t ack_msgs = msgs(f, MsgType::kInvalAck);
+  const std::uint64_t fwd_msgs = msgs(f, MsgType::kWriteFwd);
+  (void)f.write(0, a);
+  // The sharers {2, 3} are invalidated; the owner is reached only by the
+  // forwarded write, which also removes its copy.
+  EXPECT_EQ(f.stats().invalidations_sent - invals, 2u);
+  EXPECT_EQ(msgs(f, MsgType::kInval) - inval_msgs, 2u);
+  EXPECT_EQ(msgs(f, MsgType::kInvalAck) - ack_msgs, 2u);
+  EXPECT_EQ(msgs(f, MsgType::kWriteFwd) - fwd_msgs, 1u);
+  for (NodeId n = 1; n < 4; ++n) {
+    EXPECT_EQ(f.state_of(n, a), CacheState::kInvalid) << "node " << n;
+  }
+  EXPECT_EQ(f.state_of(0, a), CacheState::kModified);
+  EXPECT_TRUE(f.ms().check_coherence_invariants());
+}
+
+TEST(LimitedDir, UpdateToOverflowedOwnedBlockCountsOwnerOnce) {
+  ProtocolFixture f(limited_cfg(ProtocolKind::kDragon, 1));
+  const Addr a = owned_with_overflowed_sharers(f);
+  const std::uint64_t updates = f.stats().updates_sent;
+  const std::uint64_t update_msgs = msgs(f, MsgType::kUpdate);
+  (void)f.write(0, a);
+  // Sharers {2, 3} get an update message each; the owner's update rides
+  // on the forwarded write.
+  EXPECT_EQ(f.stats().updates_sent - updates, 3u);
+  EXPECT_EQ(msgs(f, MsgType::kUpdate) - update_msgs, 2u);
+  EXPECT_EQ(f.state_of(1, a), CacheState::kShared);
+  EXPECT_EQ(f.state_of(0, a), CacheState::kOwned);
+  EXPECT_TRUE(f.ms().check_coherence_invariants());
+}
+
+TEST(LimitedDir, ExclusiveReadOfOverflowedOwnedBlockInvalidatesOwnerOnce) {
+  ProtocolFixture f(limited_cfg(ProtocolKind::kLsDragon, 1));
+  const Addr a = owned_with_overflowed_sharers(f);
+  (void)f.write(3, a);  // Last reader writes: tags; node 3 becomes owner.
+  ASSERT_EQ(f.dir(a).state, DirState::kOwned);
+  ASSERT_EQ(f.dir(a).owner, 3);
+  ASSERT_TRUE(f.dir(a).tagged);
+  ASSERT_TRUE(f.dir(a).imprecise);
+  const std::uint64_t invals = f.stats().invalidations_sent;
+  const std::uint64_t inval_msgs = msgs(f, MsgType::kInval);
+  (void)f.read(0, a);  // Tagged: the block migrates exclusively.
+  // Sharers {1, 2} are invalidated; the owner's copy goes with its
+  // writeback.
+  EXPECT_EQ(f.stats().invalidations_sent - invals, 2u);
+  EXPECT_EQ(msgs(f, MsgType::kInval) - inval_msgs, 2u);
+  for (NodeId n = 1; n < 4; ++n) {
+    EXPECT_EQ(f.state_of(n, a), CacheState::kInvalid) << "node " << n;
+  }
+  EXPECT_EQ(f.state_of(0, a), CacheState::kLStemp);
+  EXPECT_TRUE(f.ms().check_coherence_invariants());
+}
+
 TEST(LimitedDir, NoOverflowWithinPointerBudget) {
   ProtocolFixture f(limited_cfg(ProtocolKind::kBaseline, 2));
   const Addr a = f.on_home(0);

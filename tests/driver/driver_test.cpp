@@ -242,38 +242,6 @@ TEST(DriverOptions, ParseSizeSuffixes) {
   EXPECT_FALSE(parse_size("12x", &v));
 }
 
-TEST(DriverOptions, ReplayFlagsParseAndSelectReplayMode) {
-  DriverOptions options;
-  std::string error;
-  EXPECT_FALSE(options.replay_mode());
-  ASSERT_TRUE(parse({"--replay-compare", "--capture-trace", "t.lstrace"},
-                    &options, &error))
-      << error;
-  EXPECT_TRUE(options.replay_compare);
-  EXPECT_EQ(options.capture_trace_out, "t.lstrace");
-  EXPECT_TRUE(options.replay_mode());
-
-  DriverOptions from;
-  ASSERT_TRUE(parse({"--replay-from", "t.lstrace"}, &from, &error)) << error;
-  EXPECT_EQ(from.replay_from, "t.lstrace");
-  EXPECT_TRUE(from.replay_mode());
-
-  DriverOptions crosscheck;
-  ASSERT_TRUE(parse({"--replay-crosscheck"}, &crosscheck, &error)) << error;
-  EXPECT_TRUE(crosscheck.replay_crosscheck);
-  EXPECT_TRUE(crosscheck.replay_mode());
-}
-
-TEST(DriverOptions, ReplayFileFlagsRequireValues) {
-  DriverOptions options;
-  std::string error;
-  EXPECT_FALSE(parse({"--capture-trace"}, &options, &error));
-  EXPECT_NE(error.find("--capture-trace"), std::string::npos) << error;
-  error.clear();
-  EXPECT_FALSE(parse({"--replay-from"}, &options, &error));
-  EXPECT_NE(error.find("--replay-from"), std::string::npos) << error;
-}
-
 TEST(DriverOptions, HelpFlag) {
   DriverOptions options;
   std::string error;

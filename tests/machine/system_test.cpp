@@ -141,6 +141,23 @@ TEST(System, ExecTimeIsMaxProcessorTime) {
             std::max(sys.proc(0).time(), sys.proc(3).time()));
 }
 
+TEST(System, AccessObserversCompose) {
+  // Registering a second observer must not replace the first: every
+  // registered callback sees every executed access.
+  System sys(tiny_cfg());
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  sys.add_access_observer(
+      [&first](NodeId, const AccessRequest&, Cycles, Cycles) { ++first; });
+  sys.add_access_observer(
+      [&second](NodeId, const AccessRequest&, Cycles, Cycles) { ++second; });
+  build_pingpong(sys, PingPongParams{.rounds = 50, .counters = 2});
+  sys.run();
+  EXPECT_GT(sys.stats().accesses, 100u);
+  EXPECT_EQ(first, sys.stats().accesses);
+  EXPECT_EQ(second, sys.stats().accesses);
+}
+
 TEST(System, RejectsInvalidConfig) {
   MachineConfig cfg = tiny_cfg();
   cfg.num_nodes = 99;

@@ -123,86 +123,6 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("total serial: 1.00s -> 1.05s (+5.0%)", proc.stdout)
 
-    def test_old_baseline_without_replay_section_still_compares(self):
-        # Baselines captured before the replay_compare section existed
-        # must keep working — the new rows show as "new", nothing gates.
-        old = capture([fig("fig4", 1.0)], total=1.0)
-        new = capture([fig("fig4", 1.0)], total=1.0)
-        new["replay_compare"] = [
-            {"name": "fig3_mp3d", "execute_seconds": 5.0,
-             "replay_seconds": 1.0, "speedup": 5.0, "agree": True}
-        ]
-        proc = run_compare(old, new)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertNotIn("Traceback", proc.stderr)
-        self.assertIn("fig3_mp3d", proc.stdout)
-        self.assertIn("new", proc.stdout)
-
-    def test_replay_sections_compare_speedups(self):
-        old = capture([fig("fig4", 1.0)], total=1.0)
-        old["replay_compare"] = [
-            {"name": "fig3_mp3d", "execute_seconds": 5.0,
-             "replay_seconds": 2.0, "speedup": 2.5}
-        ]
-        new = capture([fig("fig4", 1.0)], total=1.0)
-        new["replay_compare"] = [
-            {"name": "fig3_mp3d", "execute_seconds": 5.0,
-             "replay_seconds": 1.0, "speedup": 5.0}
-        ]
-        proc = run_compare(old, new)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("2.50x -> 5.00x", proc.stdout)
-
-    def test_replay_entry_missing_fields_does_not_crash(self):
-        old = capture([fig("fig4", 1.0)], total=1.0)
-        old["replay_compare"] = [{"name": "gone"}]
-        new = capture([fig("fig4", 1.0)], total=1.0)
-        new["replay_compare"] = [{}]
-        proc = run_compare(old, new)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertNotIn("Traceback", proc.stderr)
-        self.assertIn("removed", proc.stdout)
-
-    def test_replay_speedup_regression_fails(self):
-        # The replay steady-state speedup is gated like figure times: a
-        # drop beyond --threshold fails the comparison.
-        old = capture([fig("fig4", 1.0)], total=1.0)
-        old["replay_compare"] = [
-            {"name": "fig3_mp3d", "execute_seconds": 5.0,
-             "replay_seconds": 1.0, "speedup": 5.0}
-        ]
-        new = capture([fig("fig4", 1.0)], total=1.0)
-        new["replay_compare"] = [
-            {"name": "fig3_mp3d", "execute_seconds": 5.0,
-             "replay_seconds": 2.0, "speedup": 2.5}
-        ]
-        proc = run_compare(old, new)
-        self.assertEqual(proc.returncode, 1, proc.stdout)
-        self.assertIn("REGRESSION", proc.stdout)
-        self.assertIn("replay fig3_mp3d", proc.stderr)
-
-    def test_replay_speedup_within_threshold_passes(self):
-        old = capture([fig("fig4", 1.0)], total=1.0)
-        old["replay_compare"] = [
-            {"name": "fig3_mp3d", "speedup": 5.0}
-        ]
-        new = capture([fig("fig4", 1.0)], total=1.0)
-        new["replay_compare"] = [
-            {"name": "fig3_mp3d", "speedup": 4.8}
-        ]
-        proc = run_compare(old, new)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-
-    def test_null_replay_speedup_warns_and_is_not_gated(self):
-        old = capture([fig("fig4", 1.0)], total=1.0)
-        old["replay_compare"] = [{"name": "fig3_mp3d", "speedup": 5.0}]
-        new = capture([fig("fig4", 1.0)], total=1.0)
-        new["replay_compare"] = [{"name": "fig3_mp3d", "speedup": None}]
-        proc = run_compare(old, new)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertNotIn("Traceback", proc.stderr)
-        self.assertIn("not gated", proc.stderr)
-
     def test_null_doc_speedup_prints_na_and_warns(self):
         # bench/perf_baseline writes speedup: null when the capture had
         # no real concurrency (1-core host or --jobs 1); the comparison
@@ -214,18 +134,6 @@ class BenchCompareTest(unittest.TestCase):
         self.assertNotIn("Traceback", proc.stderr)
         self.assertIn("n/a", proc.stdout)
         self.assertIn("null speedup", proc.stderr)
-
-    def test_zero_replay_divisions_are_guarded(self):
-        old = capture([fig("fig4", 1.0)], total=1.0)
-        old["replay_compare"] = [{"name": "w", "speedup": 0.0}]
-        new = capture([fig("fig4", 1.0)], total=1.0)
-        new["replay_compare"] = [
-            {"name": "w", "execute_seconds": 0.0, "replay_seconds": 0.0,
-             "speedup": 0.0}
-        ]
-        proc = run_compare(old, new)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertNotIn("Traceback", proc.stderr)
 
 
 def store_header(hash_version=1, cores=8):

@@ -5,10 +5,9 @@ Baseline mode (bench/perf_baseline output):
 
     tools/bench_compare.py OLD.json NEW.json [--threshold 0.10]
 
-Prints a per-figure table of serial wall clock and throughput, then a
-capture/replay table, and exits non-zero if any figure's serial time —
-or any replay workload's steady-state speedup — regressed by more than
-the threshold (default 10%). Figures present in only one file are
+Prints a per-figure table of serial wall clock and throughput, and exits
+non-zero if any figure's serial time regressed by more than the
+threshold (default 10%). Figures present in only one file are
 reported but never fail the comparison (the suite grows over time).
 Only wall-clock/throughput fields are compared — cycle counts are
 covered by the simulator's own determinism checks. A null `speedup`
@@ -287,47 +286,6 @@ def compare_baselines(old_path, new_path, threshold):
             print(f"{name:<24} "
                   f"{old_figs[name].get('serial_seconds') or 0.0:>9.3f} "
                   f"{'-':>9} {'-':>8}  removed")
-
-    # Capture-once / replay-many timings: per workload, execute-vs-replay
-    # wall clock for a full protocol sweep. The steady-state speedup is
-    # gated like figure serial times — a replay path that quietly got
-    # slower relative to execution is a real regression. Rows with a
-    # null/zero/absent speedup on either side (no timing, or a capture
-    # without real concurrency) are reported but never gated. Older
-    # baselines predate the section; .get() defaults keep them comparable.
-    old_replay = {e.get("name"): e for e in old_doc.get("replay_compare", [])}
-    new_replay = new_doc.get("replay_compare", [])
-    if new_replay or old_replay:
-        print(f"\n{'replay workload':<24} {'execute s':>9} {'replay s':>9} "
-              f"{'speedup':>8}  vs old")
-        for entry in new_replay:
-            name = entry.get("name", "?")
-            speedup = entry.get("speedup")
-            old_entry = old_replay.get(name)
-            old_speedup = (old_entry or {}).get("speedup")
-            if old_entry is None:
-                vs_old = "new"
-            else:
-                vs_old = f"{fmt_speedup(old_speedup)} -> " \
-                         f"{fmt_speedup(speedup)}"
-                gateable = (isinstance(speedup, (int, float)) and
-                            isinstance(old_speedup, (int, float)) and
-                            old_speedup > 0 and speedup > 0)
-                if gateable:
-                    drop = (speedup - old_speedup) / old_speedup
-                    if drop < -threshold:
-                        vs_old += "  REGRESSION"
-                        regressions.append((f"replay {name}", -drop))
-                elif speedup is None or old_speedup is None:
-                    print(f"warning: replay {name}: speedup is null on "
-                          f"one side; not gated", file=sys.stderr)
-            print(f"{name:<24} "
-                  f"{entry.get('execute_seconds') or 0.0:>9.3f} "
-                  f"{entry.get('replay_seconds') or 0.0:>9.3f} "
-                  f"{fmt_speedup(speedup):>8}  {vs_old}")
-        for name in old_replay:
-            if not any(e.get("name") == name for e in new_replay):
-                print(f"{name:<24} {'-':>9} {'-':>9} {'-':>8}  removed")
 
     # Always print the total summary; an old total of zero (interrupted
     # or synthetic capture) just reports no delta instead of dividing.

@@ -2,12 +2,9 @@
 // comparisons. See --help (driver_usage in src/driver/options.hpp).
 //
 // Exit codes: 0 success, 1 runtime error (bad workload parameters,
-// invalid machine config), 2 usage error — including a --replay-from
-// trace whose machine-config hash does not match the simulated machine,
-// 3 output I/O failure (results or a --*-out artifact could not be
-// fully written), 4 coherence invariant violation (--check-invariants;
-// details on stderr), 5 replay cross-check divergence
-// (--replay-crosscheck; field-by-field diff on stderr).
+// invalid machine config), 2 usage error, 3 output I/O failure (results
+// or a --*-out artifact could not be fully written), 4 coherence
+// invariant violation (--check-invariants; details on stderr).
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -20,7 +17,6 @@
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 #include "exec/heartbeat.hpp"
-#include "trace/replay_compare.hpp"
 
 int main(int argc, char** argv) {
   using namespace lssim;
@@ -60,40 +56,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "lssim_run: unknown workload '%s'\n\n%s",
                  options.workload.c_str(), driver_usage().c_str());
     return 2;
-  }
-
-  if (options.replay_mode()) {
-    // Capture-once / replay-many path (docs/PERFORMANCE.md). Telemetry
-    // artifacts (--metrics-out etc.) need live Systems and are not
-    // produced here; the execution-driven path stays the default and the
-    // ground truth for every figure.
-    try {
-      const ReplayDriverOutcome outcome = run_driver_replay(options);
-      print_driver_results(std::cout, options, outcome.results);
-      std::cout.flush();
-      if (!std::cout) {
-        std::fprintf(stderr,
-                     "lssim_run: failed writing results to stdout\n");
-        return 3;
-      }
-      if (!outcome.divergences.empty()) {
-        std::fprintf(stderr,
-                     "lssim_run: replay cross-check diverged from live "
-                     "execution (%zu stat(s)):\n",
-                     outcome.divergences.size());
-        for (const std::string& diff : outcome.divergences) {
-          std::fprintf(stderr, "lssim_run:   %s\n", diff.c_str());
-        }
-        return 5;
-      }
-    } catch (const TraceConfigMismatch& ex) {
-      std::fprintf(stderr, "lssim_run: %s\n", ex.what());
-      return 2;
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "lssim_run: %s\n", ex.what());
-      return 1;
-    }
-    return 0;
   }
 
   try {

@@ -52,7 +52,7 @@
 #include "exec/parallel_executor.hpp"
 #include "sweep/matrix.hpp"
 #include "sweep/runner.hpp"
-#include "trace/config_hash.hpp"
+#include "sweep/config_hash.hpp"
 
 namespace {
 
