@@ -1,9 +1,11 @@
 // Protocol event log: a bounded ring of coherence events for debugging
-// and for walkthrough tooling.
+// and for walkthrough tooling. The transaction engine reports every event
+// of every kind here once (MemorySystem::emit), so the log is the
+// complete event stream.
 //
-// Disabled (capacity 0) it costs one branch per hook. Enabled, it keeps
+// Disabled (capacity 0) it costs one branch per event. Enabled, it keeps
 // the last N events; dump() renders them like:
-//   @12340  P1 upgrade    blk 0x000040  dir Shared->Dirty  [tag]
+//   @12340      P1  upgrade     blk 0x000040  dir Shared      [tagged]
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,16 @@ enum class ProtoEventKind : std::uint8_t {
   kReplHint,    ///< Clean/LStemp replacement.
 };
 inline constexpr int kNumProtoEventKinds = 10;
+/// The transactions (read miss, write miss, upgrade) are the first kinds.
+inline constexpr std::size_t kNumTxnKinds = 3;
+
+/// Point events (tag, detag, migrate, NotLS, local write) also become
+/// trace instants; transactions (read miss, write miss, upgrade) become
+/// trace spans when they complete; replacements (writeback, repl-hint)
+/// have no trace form.
+[[nodiscard]] constexpr bool is_point_event(ProtoEventKind k) noexcept {
+  return k >= ProtoEventKind::kLocalWrite && k <= ProtoEventKind::kNotLs;
+}
 
 [[nodiscard]] constexpr const char* to_string(ProtoEventKind k) noexcept {
   switch (k) {
@@ -52,7 +64,9 @@ struct ProtocolEvent {
   Addr block = 0;
   ProtoEventKind kind = ProtoEventKind::kReadMiss;
   NodeId actor = kInvalidNode;
-  DirState dir_state = DirState::kUncached;  ///< State after the event.
+  /// Directory state when the event is reported (for a transaction or a
+  /// replacement: before the transition it causes).
+  DirState dir_state = DirState::kUncached;
   bool tagged = false;
 };
 
@@ -64,10 +78,8 @@ class EventLog {
 
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
-  void record(Cycles time, ProtoEventKind kind, Addr block, NodeId actor,
-              DirState dir_state, bool tagged) {
+  void record(const ProtocolEvent& event) {
     if (!enabled()) return;
-    const ProtocolEvent event{time, block, kind, actor, dir_state, tagged};
     if (ring_.size() < capacity_) {
       ring_.push_back(event);
     } else {

@@ -65,12 +65,11 @@ MemorySystem::MemorySystem(const MachineConfig& config, AddressSpace& space,
     }
     // Ownership-latency profiling: one histogram per transaction kind,
     // fed with issue->grant cycles at the end of each global transaction.
-    lat_read_miss_ =
-        metrics_->histogram("ownership.latency", {{"op", "read-miss"}});
-    lat_write_miss_ =
-        metrics_->histogram("ownership.latency", {{"op", "write-miss"}});
-    lat_upgrade_ =
-        metrics_->histogram("ownership.latency", {{"op", "upgrade"}});
+    for (std::size_t k = 0; k < txn_latency_.size(); ++k) {
+      txn_latency_[k] = metrics_->histogram(
+          "ownership.latency",
+          {{"op", to_string(static_cast<ProtoEventKind>(k))}});
+    }
   }
 }
 
@@ -130,6 +129,31 @@ std::uint64_t MemorySystem::apply_data(const AccessRequest& req) {
   return 0;
 }
 
+// emit and close_txn are forced inline at every call site, so with the
+// sinks off an event costs their null checks and no call.
+[[gnu::always_inline]] inline void MemorySystem::emit(
+    const ProtocolEvent& event) {
+  log_.record(event);
+  if (metrics_ != nullptr) {
+    metrics_->add(
+        ev_counters_[event.actor][static_cast<std::size_t>(event.kind)]);
+  }
+  if (trace_ != nullptr && is_point_event(event.kind)) {
+    trace_->instant(event.actor, event.kind, event.block, event.time);
+  }
+}
+
+[[gnu::always_inline]] inline void MemorySystem::close_txn(
+    ProtoEventKind kind, NodeId node, Addr block, Cycles begin, Cycles end) {
+  if (trace_ != nullptr) {
+    trace_->span(node, kind, block, begin, end);
+  }
+  if (metrics_ != nullptr) {
+    metrics_->observe(txn_latency_[static_cast<std::size_t>(kind)],
+                      end - begin);
+  }
+}
+
 void MemorySystem::tag_event(DirEntry& entry, TagReason reason, Addr block,
                              NodeId node) {
   // Positive evidence resets any de-tag hysteresis progress; audit the
@@ -145,11 +169,8 @@ void MemorySystem::tag_event(DirEntry& entry, TagReason reason, Addr block,
     entry.tagged = true;
     entry.tag_progress = 0;
     stats_.blocks_tagged += 1;
-    log_.record(current_time_, ProtoEventKind::kTag, current_block_,
-                current_node_, entry.state, true);
-    count_event(current_node_, ProtoEventKind::kTag);
-    trace_instant(current_node_, ProtoEventKind::kTag, current_block_,
-                  current_time_);
+    emit({current_time_, block, ProtoEventKind::kTag, node, entry.state,
+          true});
     audit_event(TagAuditEvent::kTag, reason, entry, block, node);
   } else {
     audit_event(TagAuditEvent::kTagProgress, reason, entry, block, node);
@@ -169,11 +190,8 @@ void MemorySystem::detag_event(DirEntry& entry, TagReason reason, Addr block,
     entry.tagged = false;
     entry.detag_progress = 0;
     stats_.blocks_detagged += 1;
-    log_.record(current_time_, ProtoEventKind::kDetag, current_block_,
-                current_node_, entry.state, false);
-    count_event(current_node_, ProtoEventKind::kDetag);
-    trace_instant(current_node_, ProtoEventKind::kDetag, current_block_,
-                  current_time_);
+    emit({current_time_, block, ProtoEventKind::kDetag, node, entry.state,
+          false});
     audit_event(TagAuditEvent::kDetag, reason, entry, block, node);
   } else {
     audit_event(TagAuditEvent::kDetagProgress, reason, entry, block, node);
@@ -235,6 +253,11 @@ void MemorySystem::handle_l2_victim(NodeId node, const CacheLine& victim,
   // LS+AD hybrid survive replacements by design.)
   apply_tag_action(policy_->on_victim_writeback(e, victim.state), e,
                    TagReason::kReplacement, block, node);
+  const bool dirty = victim.state == CacheState::kModified ||
+                     victim.state == CacheState::kOwned;
+  emit({t, block,
+        dirty ? ProtoEventKind::kWriteback : ProtoEventKind::kReplHint, node,
+        e.state, e.tagged});
   switch (victim.state) {
     case CacheState::kShared:
       assert((e.state == DirState::kShared || e.state == DirState::kOwned) &&
@@ -247,22 +270,12 @@ void MemorySystem::handle_l2_victim(NodeId node, const CacheLine& victim,
         e.state = DirState::kUncached;
         dirpol_->clear_sharers(e);
       }
-      count_event(node, ProtoEventKind::kReplHint);
-      if (home != node) {
-        net_->send(node, home, MsgType::kReplHint, t);
-      }
       break;
     case CacheState::kModified:
-      log_.record(t, ProtoEventKind::kWriteback, block, node, e.state,
-                  e.tagged);
-      count_event(node, ProtoEventKind::kWriteback);
       assert((e.state == DirState::kDirty || e.state == DirState::kExcl) &&
              e.owner == node);
       e.state = DirState::kUncached;
       e.owner = kInvalidNode;
-      if (home != node) {
-        net_->send(node, home, MsgType::kWritebackData, t);
-      }
       break;
     case CacheState::kLStemp:
       // Paper §3.1 case 3: replacement before the write; the home keeps
@@ -272,18 +285,11 @@ void MemorySystem::handle_l2_victim(NodeId node, const CacheLine& victim,
       assert(e.state == DirState::kExcl && e.owner == node);
       e.state = DirState::kUncached;
       e.owner = kInvalidNode;
-      count_event(node, ProtoEventKind::kReplHint);
-      if (home != node) {
-        net_->send(node, home, MsgType::kReplHint, t);
-      }
       break;
     case CacheState::kOwned:
       // The owner evicts its dirty copy while other caches still share
       // the block: the writeback makes home memory clean again, and the
       // entry downgrades to plain Shared over the surviving sharers.
-      log_.record(t, ProtoEventKind::kWriteback, block, node, e.state,
-                  e.tagged);
-      count_event(node, ProtoEventKind::kWriteback);
       assert(e.state == DirState::kOwned && e.owner == node);
       e.owner = kInvalidNode;
       if (dirpol_->believed_empty(e)) {
@@ -292,12 +298,13 @@ void MemorySystem::handle_l2_victim(NodeId node, const CacheLine& victim,
       } else {
         e.state = DirState::kShared;
       }
-      if (home != node) {
-        net_->send(node, home, MsgType::kWritebackData, t);
-      }
       break;
     case CacheState::kInvalid:
       break;
+  }
+  if (home != node) {
+    net_->send(node, home,
+               dirty ? MsgType::kWritebackData : MsgType::kReplHint, t);
   }
 }
 
@@ -377,6 +384,67 @@ void MemorySystem::evict_directory_entry(Addr incoming, Cycles now) {
   dir_.erase(victim);
 }
 
+Cycles MemorySystem::invalidate_targets(const SharerSet& targets, Addr block,
+                                        NodeId home, NodeId requester,
+                                        Cycles issue) {
+  stats_.invalidations_sent += static_cast<std::uint64_t>(targets.count());
+  Cycles done = issue;
+  targets.for_each([&](NodeId s) {
+    if (caches_[s].probe(block).l2_hit) {
+      invalidate_cached_copy(s, block);
+    }
+    if (snoops_) {
+      return;  // Snoop-invalidate: the request broadcast reached every cache.
+    }
+    Cycles a = leg(home, s, MsgType::kInval, issue);
+    a += lat_.l2_access;
+    a = leg(s, requester, MsgType::kInvalAck, a);
+    done = std::max(done, a);
+    issue += lat_.controller;  // Directory issues invalidations serially.
+  });
+  return done;
+}
+
+MemorySystem::UpdateFanout MemorySystem::update_targets(
+    const SharerSet& targets, Addr block, NodeId home, NodeId requester,
+    Cycles issue) {
+  stats_.update_transactions += 1;
+  stats_.updates_sent += static_cast<std::uint64_t>(targets.count());
+  UpdateFanout out{issue, {}};
+  targets.for_each([&](NodeId s) {
+    // Only targets that still hold a copy survive as sharers: an update
+    // reaching a cache that silently evicted the block (or an imprecise
+    // believed set covering non-holders) updates nothing.
+    const ProbeResult sp = caches_[s].probe(block);
+    if (sp.l2_hit || trust_updates_) {
+      out.survivors.set(s);
+    }
+    if (sp.l2_hit && sp.state == CacheState::kOwned) {
+      caches_[s].set_state(block, CacheState::kShared);
+    }
+    if (snoops_) {
+      return;  // The bus write broadcast updated every snooper.
+    }
+    Cycles a = leg(home, s, MsgType::kUpdate, issue);
+    a += lat_.l2_access;
+    a = leg(s, requester, MsgType::kUpdateAck, a);
+    out.done = std::max(out.done, a);
+    issue += lat_.controller;  // Updates issue serially, like invals.
+  });
+  return out;
+}
+
+Cycles MemorySystem::owner_supplies(NodeId owner, NodeId home,
+                                    NodeId requester, MsgType wb_type,
+                                    MsgType data_type, Cycles t) {
+  if (snoops_) {
+    return leg_noegress(owner, requester, data_type, t);
+  }
+  t = leg_noegress(owner, home, wb_type, t);
+  t += lat_.memory;
+  return leg(home, requester, data_type, t);
+}
+
 Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
                                   bool predicted_exclusive,
                                   std::uint32_t site) {
@@ -389,9 +457,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
 
   stats_.global_read_misses += 1;
   stats_.data_misses += 1;
-  log_.record(now, ProtoEventKind::kReadMiss, block, node, e.state,
-              e.tagged);
-  count_event(node, ProtoEventKind::kReadMiss);
+  emit({now, block, ProtoEventKind::kReadMiss, node, e.state, e.tagged});
   stats_.read_miss_home_state[static_cast<std::size_t>(
       classify_home_state(block, e))] += 1;
   oracle_.on_global_read(node, block);
@@ -427,7 +493,10 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
       break;
     }
     case DirState::kDirty:
-    case DirState::kExcl: {
+    case DirState::kExcl:
+    case DirState::kOwned: {
+      // The owner's copy services the miss (an Owned copy cache-to-cache,
+      // 3-hop: requester -> home -> owner -> requester).
       const NodeId owner = e.owner;
       assert(owner != node && owner != kInvalidNode);
       CacheHierarchy& oc = caches_[owner];
@@ -449,10 +518,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
         apply_tag_action(policy_->on_foreign_access(e), e,
                          TagReason::kForeignAccess, block, node);
         stats_.notls_messages += 1;
-        log_.record(now, ProtoEventKind::kNotLs, block, owner, e.state,
-                    e.tagged);
-        count_event(owner, ProtoEventKind::kNotLs);
-        trace_instant(owner, ProtoEventKind::kNotLs, block, now);
+        emit({now, block, ProtoEventKind::kNotLs, owner, e.state, e.tagged});
         t = leg_noegress(owner, home, MsgType::kNotLs, t);
         e.state = DirState::kShared;
         dirpol_->clear_sharers(e);
@@ -461,116 +527,59 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
         e.owner = kInvalidNode;
         t = leg(home, node, MsgType::kDataShared, t);
         t += lat_.fill;
-      } else {
-        assert(op.state == CacheState::kModified);
-        t += lat_.l2_readout;
-        if (want_exclusive) {
-          // Tagged + dirty: migrate an exclusive copy to the reader; the
-          // home memory is updated in passing so LStemp stays clean.
-          invalidate_cached_copy(owner, block);
-          if (snoops_) {
-            // Cache-to-cache supply: memory snarfs the bus transfer.
-            t = leg_noegress(owner, node, MsgType::kDataExclRead, t);
-          } else {
-            t = leg_noegress(owner, home, MsgType::kSharingWb, t);
-            t += lat_.memory;
-            t = leg(home, node, MsgType::kDataExclRead, t);
-          }
-          t += lat_.fill;
-          e.state = DirState::kExcl;
-          e.owner = node;
-          dirpol_->clear_sharers(e);
-          fill_state = CacheState::kLStemp;
-          stats_.exclusive_read_replies += 1;
-          log_.record(now, ProtoEventKind::kMigrate, block, node, e.state,
-                      e.tagged);
-          count_event(node, ProtoEventKind::kMigrate);
-          trace_instant(node, ProtoEventKind::kMigrate, block, now);
-        } else if (policy_->on_dirty_read(e) ==
-                   DirtyReadResolution::kOwnerKeeps) {
-          // MOESI / Dragon: the owner keeps the dirty block (Owned) and
-          // supplies the data cache-to-cache; home memory stays stale.
-          oc.set_state(block, CacheState::kOwned);
-          e.state = DirState::kOwned;
-          dirpol_->clear_sharers(e);
-          dirpol_->add_sharer(e, node);
-          t = leg_noegress(owner, node, MsgType::kDataShared, t);
-          t += lat_.fill;
-        } else {
-          // Plain read-on-dirty: 4 network hops (paper §4.2).
-          oc.set_state(block, CacheState::kShared);
-          if (snoops_) {
-            // The writeback and the reader's copy are one bus transfer.
-            t = leg_noegress(owner, home, MsgType::kSharingWb, t);
-          } else {
-            t = leg_noegress(owner, home, MsgType::kSharingWb, t);
-            t += lat_.memory;
-            t = leg(home, node, MsgType::kDataShared, t);
-          }
-          t += lat_.fill;
-          e.state = DirState::kShared;
-          dirpol_->clear_sharers(e);
-          dirpol_->add_sharer(e, owner);
-          dirpol_->add_sharer(e, node);
-          e.owner = kInvalidNode;
-        }
+        break;
       }
-      break;
-    }
-    case DirState::kOwned: {
-      // MOESI / Dragon: the Owned copy services the miss cache-to-cache
-      // (3-hop: requester -> home -> owner -> requester). Under an LS
-      // hybrid a tagged block instead migrates exclusively, purging every
-      // other copy.
-      const NodeId owner = e.owner;
-      assert(owner != node && owner != kInvalidNode);
-      assert(caches_[owner].probe(block).state == CacheState::kOwned);
-      if (!snoops_) {
-        t = leg(home, owner, MsgType::kReadFwd, t);
-      }
+      assert(op.state == (e.state == DirState::kOwned ? CacheState::kOwned
+                                                      : CacheState::kModified));
       t += lat_.l2_readout;
       if (want_exclusive) {
-        const SharerSet targets = dirpol_->invalidation_targets(e, node);
-        stats_.invalidations_sent +=
-            static_cast<std::uint64_t>(targets.count());
+        // Tagged + dirty: migrate an exclusive copy to the reader, purging
+        // every other copy; the home memory is updated in passing so
+        // LStemp stays clean.
         Cycles acks = t;
-        Cycles issue = t;
-        targets.for_each([&](NodeId s) {
-          if (caches_[s].probe(block).l2_hit) {
-            invalidate_cached_copy(s, block);
-          }
-          if (snoops_) {
-            return;
-          }
-          Cycles a = leg(home, s, MsgType::kInval, issue);
-          a += lat_.l2_access;
-          a = leg(s, node, MsgType::kInvalAck, a);
-          acks = std::max(acks, a);
-          issue += lat_.controller;
-        });
-        invalidate_cached_copy(owner, block);
-        if (snoops_) {
-          t = leg_noegress(owner, node, MsgType::kDataExclRead, t);
-        } else {
-          t = leg_noegress(owner, home, MsgType::kSharingWb, t);
-          t += lat_.memory;
-          t = leg(home, node, MsgType::kDataExclRead, t);
-          t = std::max(t, acks);
+        if (e.state == DirState::kOwned) {
+          acks = invalidate_targets(dirpol_->invalidation_targets(e, node),
+                                    block, home, node, t);
         }
-        t += lat_.fill;
+        invalidate_cached_copy(owner, block);
+        t = owner_supplies(owner, home, node, MsgType::kSharingWb,
+                           MsgType::kDataExclRead, t);
+        t = std::max(t, acks) + lat_.fill;
         e.state = DirState::kExcl;
         e.owner = node;
         dirpol_->clear_sharers(e);
         fill_state = CacheState::kLStemp;
         stats_.exclusive_read_replies += 1;
-        log_.record(now, ProtoEventKind::kMigrate, block, node, e.state,
-                    e.tagged);
-        count_event(node, ProtoEventKind::kMigrate);
-        trace_instant(node, ProtoEventKind::kMigrate, block, now);
-      } else {
+        emit({now, block, ProtoEventKind::kMigrate, node, e.state, e.tagged});
+      } else if (e.state == DirState::kOwned ||
+                 policy_->on_dirty_read(e) ==
+                     DirtyReadResolution::kOwnerKeeps) {
+        // MOESI / Dragon: the owner keeps the dirty block (Owned) and
+        // supplies the data cache-to-cache; home memory stays stale.
+        if (e.state != DirState::kOwned) {
+          oc.set_state(block, CacheState::kOwned);
+          e.state = DirState::kOwned;
+          dirpol_->clear_sharers(e);
+        }
+        dirpol_->add_sharer(e, node);
         t = leg_noegress(owner, node, MsgType::kDataShared, t);
         t += lat_.fill;
+      } else {
+        // Plain read-on-dirty: 4 network hops (paper §4.2). On a snooping
+        // transport the writeback and the reader's copy are one bus
+        // transfer.
+        oc.set_state(block, CacheState::kShared);
+        t = leg_noegress(owner, home, MsgType::kSharingWb, t);
+        if (!snoops_) {
+          t += lat_.memory;
+          t = leg(home, node, MsgType::kDataShared, t);
+        }
+        t += lat_.fill;
+        e.state = DirState::kShared;
+        dirpol_->clear_sharers(e);
+        dirpol_->add_sharer(e, owner);
         dirpol_->add_sharer(e, node);
+        e.owner = kInvalidNode;
       }
       break;
     }
@@ -584,8 +593,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
     filled->grant_site = site;
   }
   fs_.on_fill(node, block, *filled);
-  trace_span(node, ProtoEventKind::kReadMiss, block, now, t);
-  observe_latency(lat_read_miss_, t - now);
+  close_txn(ProtoEventKind::kReadMiss, node, block, now, t);
   return t;
 }
 
@@ -593,11 +601,17 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
                                      bool upgrade) {
   const NodeId home = space_.home_of(block);
   DirEntry& e = dir_entry_at(block, now);
+  const ProtoEventKind kind =
+      upgrade ? ProtoEventKind::kUpgrade : ProtoEventKind::kWriteMiss;
 
   stats_.global_write_actions += 1;
-  if (!upgrade) {
+  if (upgrade) {
+    // Paper Fig 5: "Global Inv's" are ownership acquisitions — global
+    // write actions to a block that is Shared (or Owned) in the local
+    // cache.
+    stats_.ownership_acquisitions += 1;
+  } else {
     stats_.data_misses += 1;
-    count_event(node, ProtoEventKind::kWriteMiss);
   }
 
   // Policy tag rules run on the pre-transition entry (paper §3.1 reads
@@ -605,7 +619,7 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
   const WriteTagDecision tag_decision =
       policy_->on_global_write(e, node, upgrade);
   apply_tag_action(tag_decision.action, e, tag_decision.reason, block, node);
-  const bool lone_write_detag = tag_decision.lone_write_detag;
+  emit({now, block, kind, node, e.state, e.tagged});
   oracle_.on_global_write(node, block, /*eliminated=*/false, current_tag_);
   e.last_writer = node;
   // A write by anyone consumes the LR field: a later write can only be
@@ -618,28 +632,29 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
   const Cycles t_dir = t;
 
   Cycles completion = 0;
-
-  if (upgrade) {
-    // Paper Fig 5: "Global Inv's" are ownership acquisitions — global
-    // write actions to a block that is Shared (or Owned) in the local
-    // cache.
-    stats_.ownership_acquisitions += 1;
-    log_.record(now, ProtoEventKind::kUpgrade, block, node, e.state,
-                e.tagged);
-    count_event(node, ProtoEventKind::kUpgrade);
-    assert((e.state == DirState::kShared &&
-            dirpol_->may_be_sharer(e, node)) ||
+  // The writer ends Modified over a Dirty entry, or — when a Dragon
+  // write-update leaves remote copies alive — Owned over the surviving
+  // sharers.
+  CacheState new_state = CacheState::kModified;
+  SharerSet survivors;
+  if (upgrade || e.state == DirState::kShared) {
+    assert(!upgrade ||
+           (e.state == DirState::kShared && dirpol_->may_be_sharer(e, node)) ||
            (e.state == DirState::kOwned &&
             (e.owner == node || dirpol_->may_be_sharer(e, node))));
-    completion = leg(home, node, MsgType::kOwnAck, t_dir);
-
     // The organisation resolves who must be invalidated (or updated):
     // the exact sharer set under full-map, a broadcast after Dir_iB
     // overflow, whole regions under coarse vectors. A previous Owned
-    // owner is a target too — invalidation_targets() leaves it out.
+    // owner is a target of an upgrade too — invalidation_targets()
+    // leaves it out.
     SharerSet targets = dirpol_->invalidation_targets(e, node);
-    if (e.state == DirState::kOwned && e.owner != node) {
-      targets.set(e.owner);
+    if (upgrade) {
+      if (e.state == DirState::kOwned && e.owner != node) {
+        targets.set(e.owner);
+      }
+      completion = leg(home, node, MsgType::kOwnAck, t_dir);
+    } else {
+      completion = leg(home, node, MsgType::kDataExclWrite, t_dir) + lat_.fill;
     }
     const int count = targets.count();
     if (update_mode_ && count > 0) {
@@ -649,258 +664,88 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
       // sharer. Every write while copies survive repeats this global
       // update transaction — the cost the protocol trades for the
       // eliminated re-read misses.
-      stats_.update_transactions += 1;
-      stats_.updates_sent += static_cast<std::uint64_t>(count);
-      // Only targets that still hold a copy survive as sharers: an
-      // update reaching a cache that silently evicted the block (or an
-      // imprecise believed set covering non-holders) updates nothing.
-      SharerSet survivors;
-      Cycles issue = t_dir;
-      targets.for_each([&](NodeId s) {
-        const ProbeResult sp = caches_[s].probe(block);
-        if (sp.l2_hit || trust_updates_) {
-          survivors.set(s);
-        }
-        if (sp.l2_hit && sp.state == CacheState::kOwned) {
-          caches_[s].set_state(block, CacheState::kShared);
-        }
-        if (snoops_) {
-          return;  // The bus write broadcast updated every snooper.
-        }
-        Cycles a = leg(home, s, MsgType::kUpdate, issue);
-        a += lat_.l2_access;
-        a = leg(s, node, MsgType::kUpdateAck, a);
-        completion = std::max(completion, a);
-        issue += lat_.controller;  // Updates issue serially, like invals.
-      });
-      e.state = DirState::kOwned;
-      e.owner = node;
-      dirpol_->clear_sharers(e);
-      survivors.for_each([&](NodeId s) { dirpol_->add_sharer(e, s); });
-      caches_[node].set_state(block, CacheState::kOwned);
+      const UpdateFanout u = update_targets(targets, block, home, node, t_dir);
+      completion = std::max(completion, u.done);
+      survivors = u.survivors;
+      new_state = CacheState::kOwned;
     } else {
-      // AD-style de-detection: a write invalidating several copies is
-      // evidence the block is read-shared, not migratory.
-      apply_tag_action(policy_->on_upgrade_invalidations(e, count), e,
-                       TagReason::kUpgradeInvalidations, block, node);
-      stats_.invalidations_sent += static_cast<std::uint64_t>(count);
+      if (upgrade) {
+        // AD-style de-detection: a write invalidating several copies is
+        // evidence the block is read-shared, not migratory.
+        apply_tag_action(policy_->on_upgrade_invalidations(e, count), e,
+                         TagReason::kUpgradeInvalidations, block, node);
+      }
       if (count == 1) {
         stats_.single_invalidations += 1;
       }
-      Cycles issue = t_dir;
-      targets.for_each([&](NodeId s) {
-        if (snoops_) {
-          // Snoop-invalidate: the request broadcast reached every cache.
-          if (caches_[s].probe(block).l2_hit) {
-            invalidate_cached_copy(s, block);
-          }
-          return;
-        }
-        Cycles a = leg(home, s, MsgType::kInval, issue);
-        a += lat_.l2_access;
-        if (caches_[s].probe(block).l2_hit) {
-          invalidate_cached_copy(s, block);
-        }
-        a = leg(s, node, MsgType::kInvalAck, a);
-        completion = std::max(completion, a);
-        issue += lat_.controller;  // Directory issues invalidations serially.
-      });
-      e.state = DirState::kDirty;
-      e.owner = node;
-      dirpol_->clear_sharers(e);
-      caches_[node].set_state(block, CacheState::kModified);
+      completion = std::max(
+          completion, invalidate_targets(targets, block, home, node, t_dir));
     }
+  } else if (e.state == DirState::kUncached) {
+    completion = leg(home, node, MsgType::kDataExclWrite, t_dir) + lat_.fill;
   } else {
-    CacheState fill_state = CacheState::kModified;
-    // Update-mode transactions leave remote copies alive: the writer
-    // then fills Owned over these surviving sharers.
-    SharerSet survivors;
-    switch (e.state) {
-      case DirState::kUncached: {
-        completion = leg(home, node, MsgType::kDataExclWrite, t_dir);
-        completion += lat_.fill;
-        break;
-      }
-      case DirState::kShared: {
-        const SharerSet targets = dirpol_->invalidation_targets(e, node);
-        const int count = targets.count();
-        Cycles data = leg(home, node, MsgType::kDataExclWrite, t_dir);
-        data += lat_.fill;
-        completion = data;
-        Cycles issue = t_dir;
-        if (update_mode_ && count > 0) {
-          // Dragon: the remote copies are updated, not invalidated. Only
-          // targets that still hold a copy survive as sharers.
-          stats_.update_transactions += 1;
-          stats_.updates_sent += static_cast<std::uint64_t>(count);
-          targets.for_each([&](NodeId s) {
-            if (caches_[s].probe(block).l2_hit || trust_updates_) {
-              survivors.set(s);
-            }
-            if (snoops_) {
-              return;  // The bus write broadcast updated every snooper.
-            }
-            Cycles a = leg(home, s, MsgType::kUpdate, issue);
-            a += lat_.l2_access;
-            a = leg(s, node, MsgType::kUpdateAck, a);
-            completion = std::max(completion, a);
-            issue += lat_.controller;
-          });
-          fill_state = CacheState::kOwned;
-        } else {
-          stats_.invalidations_sent += static_cast<std::uint64_t>(count);
-          if (count == 1) {
-            stats_.single_invalidations += 1;
-          }
-          targets.for_each([&](NodeId s) {
-            if (snoops_) {
-              if (caches_[s].probe(block).l2_hit) {
-                invalidate_cached_copy(s, block);
-              }
-              return;
-            }
-            Cycles a = leg(home, s, MsgType::kInval, issue);
-            a += lat_.l2_access;
-            if (caches_[s].probe(block).l2_hit) {
-              invalidate_cached_copy(s, block);
-            }
-            a = leg(s, node, MsgType::kInvalAck, a);
-            completion = std::max(completion, a);
-            issue += lat_.controller;
-          });
-        }
-        break;
-      }
-      case DirState::kDirty:
-      case DirState::kExcl: {
-        const NodeId owner = e.owner;
-        assert(owner != node && owner != kInvalidNode);
-        const ProbeResult op = caches_[owner].probe(block);
-        assert(op.l2_hit);
-        Cycles t2 = t_dir;
-        if (!snoops_) {
-          t2 = leg(home, owner, MsgType::kWriteFwd, t2);
-        }
-        if (op.state == CacheState::kLStemp) {
-          // Paper §3.1 case 2 (foreign write): de-tag, unless the lone-
-          // write rule above already consumed this event.
-          policy_->on_exclusive_grant_unused(
-              owner, caches_[owner].l2().find(block)->grant_site);
-          if (!lone_write_detag) {
-            apply_tag_action(policy_->on_foreign_access(e), e,
-                             TagReason::kForeignAccess, block, node);
-          }
-          t2 += lat_.l2_access;
-        } else {
-          assert(op.state == CacheState::kModified);
-          t2 += lat_.l2_readout;
-        }
-        if (update_mode_) {
-          // Dragon: the previous holder keeps an updated shared copy.
-          stats_.update_transactions += 1;
-          stats_.updates_sent += 1;
-          caches_[owner].set_state(block, CacheState::kShared);
-          fill_state = CacheState::kOwned;
-          survivors.set(owner);
-        } else {
-          invalidate_cached_copy(owner, block);
-        }
-        if (snoops_) {
-          // Cache-to-cache supply; memory snarfs the bus transfer.
-          t2 = leg_noegress(owner, node, MsgType::kDataExclWrite, t2);
-        } else {
-          t2 = leg_noegress(owner, home, MsgType::kOwnerXferAck, t2);
-          t2 += lat_.memory;
-          t2 = leg(home, node, MsgType::kDataExclWrite, t2);
-        }
-        t2 += lat_.fill;
-        completion = t2;
-        break;
-      }
-      case DirState::kOwned: {
-        const NodeId owner = e.owner;
-        assert(owner != node && owner != kInvalidNode);
-        assert(caches_[owner].probe(block).state == CacheState::kOwned);
-        const SharerSet targets = dirpol_->invalidation_targets(e, node);
-        Cycles t2 = t_dir;
-        if (!snoops_) {
-          t2 = leg(home, owner, MsgType::kWriteFwd, t2);
-        }
-        t2 += lat_.l2_readout;
-        Cycles acks = t_dir;
-        Cycles issue = t_dir;
-        if (update_mode_) {
-          stats_.update_transactions += 1;
-          stats_.updates_sent +=
-              static_cast<std::uint64_t>(targets.count() + 1);
-          caches_[owner].set_state(block, CacheState::kShared);
-          targets.for_each([&](NodeId s) {
-            if (caches_[s].probe(block).l2_hit || trust_updates_) {
-              survivors.set(s);
-            }
-            if (snoops_) {
-              return;
-            }
-            Cycles a = leg(home, s, MsgType::kUpdate, issue);
-            a += lat_.l2_access;
-            a = leg(s, node, MsgType::kUpdateAck, a);
-            acks = std::max(acks, a);
-            issue += lat_.controller;
-          });
-          fill_state = CacheState::kOwned;
-          survivors.set(owner);
-        } else {
-          const int count = targets.count();
-          stats_.invalidations_sent += static_cast<std::uint64_t>(count);
-          if (count == 1) {
-            stats_.single_invalidations += 1;
-          }
-          targets.for_each([&](NodeId s) {
-            if (caches_[s].probe(block).l2_hit) {
-              invalidate_cached_copy(s, block);
-            }
-            if (snoops_) {
-              return;
-            }
-            Cycles a = leg(home, s, MsgType::kInval, issue);
-            a += lat_.l2_access;
-            a = leg(s, node, MsgType::kInvalAck, a);
-            acks = std::max(acks, a);
-            issue += lat_.controller;
-          });
-          invalidate_cached_copy(owner, block);
-        }
-        if (snoops_) {
-          t2 = leg_noegress(owner, node, MsgType::kDataExclWrite, t2);
-        } else {
-          t2 = leg_noegress(owner, home, MsgType::kOwnerXferAck, t2);
-          t2 += lat_.memory;
-          t2 = leg(home, node, MsgType::kDataExclWrite, t2);
-        }
-        t2 += lat_.fill;
-        completion = std::max(t2, acks);
-        break;
-      }
+    // Dirty, Excl or Owned at another node: the owner supplies the block,
+    // and an Owned entry's sharers are invalidated (or updated) as well.
+    const NodeId owner = e.owner;
+    assert(owner != node && owner != kInvalidNode);
+    const ProbeResult op = caches_[owner].probe(block);
+    assert(op.l2_hit);
+    const SharerSet targets = e.state == DirState::kOwned
+                                  ? dirpol_->invalidation_targets(e, node)
+                                  : SharerSet{};
+    Cycles t2 = t_dir;
+    if (!snoops_) {
+      t2 = leg(home, owner, MsgType::kWriteFwd, t2);
     }
-    if (fill_state == CacheState::kOwned) {
-      e.state = DirState::kOwned;
-      e.owner = node;
-      dirpol_->clear_sharers(e);
-      survivors.for_each([&](NodeId s) { dirpol_->add_sharer(e, s); });
+    if (op.state == CacheState::kLStemp) {
+      // Paper §3.1 case 2 (foreign write): de-tag, unless the lone-
+      // write rule above already consumed this event.
+      policy_->on_exclusive_grant_unused(
+          owner, caches_[owner].l2().find(block)->grant_site);
+      if (!tag_decision.lone_write_detag) {
+        apply_tag_action(policy_->on_foreign_access(e), e,
+                         TagReason::kForeignAccess, block, node);
+      }
+      t2 += lat_.l2_access;
     } else {
-      e.state = DirState::kDirty;
-      e.owner = node;
-      dirpol_->clear_sharers(e);
+      assert(op.state == (e.state == DirState::kOwned ? CacheState::kOwned
+                                                      : CacheState::kModified));
+      t2 += lat_.l2_readout;
     }
-    const CacheLine victim = caches_[node].fill(block, fill_state);
+    Cycles acks = t_dir;
+    if (update_mode_) {
+      // Dragon: the previous holder keeps an updated shared copy.
+      caches_[owner].set_state(block, CacheState::kShared);
+      const UpdateFanout u = update_targets(targets, block, home, node, t_dir);
+      stats_.updates_sent += 1;  // The previous holder's update.
+      acks = u.done;
+      survivors = u.survivors;
+      survivors.set(owner);
+      new_state = CacheState::kOwned;
+    } else {
+      if (targets.count() == 1) {
+        stats_.single_invalidations += 1;
+      }
+      acks = invalidate_targets(targets, block, home, node, t_dir);
+      invalidate_cached_copy(owner, block);
+    }
+    t2 = owner_supplies(owner, home, node, MsgType::kOwnerXferAck,
+                        MsgType::kDataExclWrite, t2);
+    completion = std::max(t2 + lat_.fill, acks);
+  }
+  e.state =
+      new_state == CacheState::kOwned ? DirState::kOwned : DirState::kDirty;
+  e.owner = node;
+  dirpol_->clear_sharers(e);
+  survivors.for_each([&](NodeId s) { dirpol_->add_sharer(e, s); });
+  if (upgrade) {
+    caches_[node].set_state(block, new_state);
+  } else {
+    const CacheLine victim = caches_[node].fill(block, new_state);
     handle_l2_victim(node, victim, completion);
     fs_.on_fill(node, block, *caches_[node].l2().find(block));
   }
-  trace_span(node,
-             upgrade ? ProtoEventKind::kUpgrade : ProtoEventKind::kWriteMiss,
-             block, now, completion);
-  observe_latency(upgrade ? lat_upgrade_ : lat_write_miss_,
-                  completion - now);
+  close_txn(kind, node, block, now, completion);
   return completion;
 }
 
@@ -944,10 +789,8 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
       lines.l2->state = CacheState::kModified;
       lines.l1->state = CacheState::kModified;
       stats_.eliminated_acquisitions += 1;
-      log_.record(now, ProtoEventKind::kLocalWrite, block, node,
-                  DirState::kExcl, true);
-      count_event(node, ProtoEventKind::kLocalWrite);
-      trace_instant(node, ProtoEventKind::kLocalWrite, block, now);
+      emit({now, block, ProtoEventKind::kLocalWrite, node, DirState::kExcl,
+            true});
       // This store would have been a global write action under the
       // baseline protocol; the home learns about it lazily.
       oracle_.on_global_write(node, block, /*eliminated=*/true, req.tag);
@@ -957,8 +800,6 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
     // oracle/log/audit hooks reached through the tag machinery.
     current_tag_ = req.tag;
     current_time_ = now;
-    current_node_ = node;
-    current_block_ = block;
     if (lines.l2 != nullptr) {
       // Write on a Shared (or update-protocol Owned) line: ownership
       // upgrade.

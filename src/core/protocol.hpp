@@ -157,6 +157,30 @@ class MemorySystem {
                       bool predicted_exclusive, std::uint32_t site);
   Cycles do_write_global(NodeId node, Addr block, Cycles now, bool upgrade);
 
+  /// Invalidates every target's copy of `block` for `requester`'s write
+  /// (or exclusive read). The directory at `home` issues the
+  /// invalidations serially from `issue`; each target acks the requester.
+  /// Returns the last ack's arrival (`issue` when there is none, and on a
+  /// snooping transport, where the request broadcast already reached
+  /// every cache).
+  Cycles invalidate_targets(const SharerSet& targets, Addr block,
+                            NodeId home, NodeId requester, Cycles issue);
+  struct UpdateFanout {
+    Cycles done = 0;      ///< Last update ack (or `issue`).
+    SharerSet survivors;  ///< Targets that still hold a copy.
+  };
+  /// Dragon write-update: pushes `requester`'s new data to every target
+  /// instead of invalidating it, with the timing of invalidate_targets.
+  /// An Owned target downgrades to a plain (updated) sharer. Counts one
+  /// update transaction of `targets.count()` updates.
+  UpdateFanout update_targets(const SharerSet& targets, Addr block,
+                              NodeId home, NodeId requester, Cycles issue);
+  /// The owner's copy travels to `requester`: cache-to-cache on a
+  /// snooping transport (memory snarfs the bus transfer), else via home
+  /// (`wb_type` owner->home, memory update, `data_type` home->requester).
+  Cycles owner_supplies(NodeId owner, NodeId home, NodeId requester,
+                        MsgType wb_type, MsgType data_type, Cycles t);
+
   void handle_l2_victim(NodeId node, const CacheLine& victim, Cycles t);
   void invalidate_cached_copy(NodeId node, Addr block);
 
@@ -167,35 +191,16 @@ class MemorySystem {
   DirEntry& dir_entry_at(Addr block, Cycles now);
   void evict_directory_entry(Addr incoming, Cycles now);
 
-  /// Telemetry hooks (no-ops when the corresponding pillar is off).
-  void count_event(NodeId node, ProtoEventKind kind) {
-    if (metrics_ != nullptr) {
-      metrics_->add(ev_counters_[node][static_cast<std::size_t>(kind)]);
-    }
-  }
-  void trace_span(NodeId node, ProtoEventKind kind, Addr block,
-                  Cycles begin, Cycles end) {
-    if (trace_ != nullptr) {
-      trace_->span(node, kind, block, begin, end);
-    }
-  }
-  void trace_instant(NodeId node, ProtoEventKind kind, Addr block,
-                     Cycles time) {
-    if (trace_ != nullptr) {
-      trace_->instant(node, kind, block, time);
-    }
-  }
-  /// Ownership-latency profiling: one sample per completed coherence
-  /// transaction (issue -> grant, cycles).
-  void observe_latency(HistogramHandle h, Cycles latency) {
-    if (metrics_ != nullptr) {
-      metrics_->observe(h, latency);
-    }
-  }
+  /// The one emission point for a coherence event: the event log, the
+  /// per-node `coherence.<kind>` counter and, for point events, a trace
+  /// instant (docs/OBSERVABILITY.md has the kind -> sink table). Each
+  /// sink is skipped when its pillar is off.
+  void emit(const ProtocolEvent& event);
+  /// Completes transaction `kind` (read miss, write miss, upgrade): its
+  /// trace span and its `ownership.latency` sample (issue -> grant).
+  void close_txn(ProtoEventKind kind, NodeId node, Addr block, Cycles begin,
+                 Cycles end);
   /// Tag-decision audit: records `entry`'s state AFTER the transition.
-  /// `block`/`node` are passed explicitly (not taken from current_*)
-  /// because victim writebacks audit a different block than the one the
-  /// in-flight access targets.
   void audit_event(TagAuditEvent event, TagReason reason,
                    const DirEntry& entry, Addr block, NodeId node) {
     if (audit_ != nullptr) {
@@ -262,16 +267,12 @@ class MemorySystem {
   bool fs_enabled_ = false;
   /// Per-node, per-kind counter handles (registered once at startup).
   std::vector<std::array<CounterHandle, kNumProtoEventKinds>> ev_counters_;
-  /// Ownership-latency histograms (`ownership.latency{op=...}`), one per
-  /// transaction kind; invalid handles when metrics are off.
-  HistogramHandle lat_read_miss_;
-  HistogramHandle lat_write_miss_;
-  HistogramHandle lat_upgrade_;
-  // Scratch: context of the in-flight access (for oracle/log hooks).
+  /// Ownership-latency histograms (`ownership.latency{op=...}`), indexed
+  /// by transaction kind; invalid handles when metrics are off.
+  std::array<HistogramHandle, kNumTxnKinds> txn_latency_;
+  // Scratch: context of the in-flight access (for oracle/audit hooks).
   StreamTag current_tag_ = StreamTag::kApp;
   Cycles current_time_ = 0;
-  Addr current_block_ = 0;
-  NodeId current_node_ = 0;
 };
 
 }  // namespace lssim

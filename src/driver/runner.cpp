@@ -413,7 +413,7 @@ bool write_driver_artifacts(const DriverOptions& options,
     processes.reserve(runs.size());
     for (const DriverRun& run : runs) {
       processes.push_back(
-          TraceProcess{run_label(options, run.result), &run.trace, nullptr});
+          TraceProcess{run_label(options, run.result), &run.trace});
     }
     const bool ok = write_artifact(
         options.perfetto_out, "trace",

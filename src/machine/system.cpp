@@ -99,15 +99,10 @@ void System::run() {
     for (const AccessObserver& observer : observers_) {
       observer(next->id_, req, next->time_, res.latency);
     }
-    if (req.is_write()) {
-      stats_.write_latency.record(res.latency);
-    } else {
-      stats_.read_latency.record(res.latency);
-    }
+    (req.is_write() ? stats_.write_latency : stats_.read_latency)
+        .observe(res.latency);
     if (MetricsRegistry* m = telemetry_.metrics()) {
       m->add(node_accesses_[next->id_]);
-      m->observe(req.is_write() ? write_latency_h_ : read_latency_h_,
-                 res.latency);
     }
     if (timeline_.enabled()) {
       timeline_.observe(next->time_, stats_.accesses,
@@ -170,6 +165,10 @@ void System::run() {
   }
   if (MetricsRegistry* m = telemetry_.metrics()) {
     m->set(exec_time_g_, static_cast<std::int64_t>(exec_time()));
+    // The latency histograms are recorded once, in Stats; the registry
+    // carries copies from here on.
+    m->set(read_latency_h_, stats_.read_latency);
+    m->set(write_latency_h_, stats_.write_latency);
   }
 }
 

@@ -86,10 +86,10 @@ class System {
   }
 
   /// Observer invoked for every executed access (node, request, issue
-  /// time, latency). Used by the trace recorder and telemetry probes;
+  /// time, latency), for tools and tests that watch the access stream;
   /// attach before run(). Observers COMPOSE: each added observer is
-  /// invoked in registration order, so a recorder and a telemetry probe
-  /// can watch the same run without silently dropping each other.
+  /// invoked in registration order, so two probes can watch the same run
+  /// without silently dropping each other.
   using AccessObserver =
       std::function<void(NodeId, const AccessRequest&, Cycles, Cycles)>;
   void add_access_observer(AccessObserver observer) {

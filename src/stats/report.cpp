@@ -28,13 +28,13 @@ std::string fixed1(double v) {
 }  // namespace
 
 void print_latency_histogram(std::ostream& os, const char* title,
-                             const LatencyHistogram& hist) {
-  os << "-- " << title << " (" << hist.samples() << " samples, mean "
+                             const HistogramData& hist) {
+  os << "-- " << title << " (" << hist.samples << " samples, mean "
      << static_cast<std::uint64_t>(hist.mean()) << " cy, p50 <= "
      << hist.percentile(0.5) << ", p99 <= " << hist.percentile(0.99)
      << ") --\n";
-  for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    const std::uint64_t count = hist.count(b);
+  for (int b = 0; b < HistogramData::kBuckets; ++b) {
+    const std::uint64_t count = hist.counts[static_cast<std::size_t>(b)];
     if (count == 0) continue;
     char line[96];
     std::snprintf(line, sizeof(line), "  [%7llu, %7llu)  %10llu  ",
@@ -44,7 +44,7 @@ void print_latency_histogram(std::ostream& os, const char* title,
     os << line;
     const int bars = static_cast<int>(
         60.0 * static_cast<double>(count) /
-        static_cast<double>(hist.samples()));
+        static_cast<double>(hist.samples));
     for (int i = 0; i < bars; ++i) os << '#';
     os << "\n";
   }

@@ -26,7 +26,7 @@ void print_invalidation_figure(std::ostream& os, const std::string& name,
 
 /// Prints a latency histogram as an ASCII table (nonzero buckets only).
 void print_latency_histogram(std::ostream& os, const char* title,
-                             const LatencyHistogram& hist);
+                             const HistogramData& hist);
 
 /// Prints the node-to-node message-count matrix.
 void print_traffic_matrix(std::ostream& os, const TrafficMatrix& matrix);

@@ -113,8 +113,8 @@ struct Stats {
   std::uint64_t updates_sent = 0;
 
   // --- distributions / topology-resolved traffic -------------------------
-  LatencyHistogram read_latency;   ///< All read accesses (bucket 0 = hits).
-  LatencyHistogram write_latency;  ///< All write/RMW accesses.
+  HistogramData read_latency;      ///< All read accesses (bucket 0 = hits).
+  HistogramData write_latency;     ///< All write/RMW accesses.
   TrafficMatrix traffic_matrix;    ///< Per (src, dst) message counts.
 
   // --- false sharing (paper Table 4) ------------------------------------

@@ -7,6 +7,7 @@
 // counters at fixed simulated-time epochs.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -16,54 +17,59 @@
 
 namespace lssim {
 
-/// Power-of-two-bucket latency histogram: bucket i holds latencies in
-/// [2^i, 2^(i+1)).
-class LatencyHistogram {
- public:
-  static constexpr int kBuckets = 24;
+/// Log-scale (power-of-two bucket) histogram data: bucket i counts values
+/// in [2^i, 2^(i+1)); bucket 0 also holds zeros. The one histogram type:
+/// Stats' access latencies and every registry histogram use it.
+struct HistogramData {
+  static constexpr int kBuckets = 32;
 
-  void record(Cycles latency) noexcept {
-    const int bucket =
-        latency == 0
-            ? 0
-            : std::min(kBuckets - 1,
-                       64 - 1 - std::countl_zero(
-                                    static_cast<std::uint64_t>(latency)));
-    counts_[static_cast<std::size_t>(bucket)] += 1;
-    total_ += latency;
-    samples_ += 1;
+  std::array<std::uint64_t, kBuckets> counts{};
+  std::uint64_t samples = 0;
+  std::uint64_t sum = 0;
+
+  static constexpr int bucket_of(std::uint64_t value) noexcept {
+    return value == 0
+               ? 0
+               : std::min(kBuckets - 1, 63 - std::countl_zero(value));
   }
 
-  [[nodiscard]] std::uint64_t samples() const noexcept { return samples_; }
-  [[nodiscard]] std::uint64_t count(int bucket) const noexcept {
-    return counts_[static_cast<std::size_t>(bucket)];
+  void observe(std::uint64_t value) noexcept {
+    counts[static_cast<std::size_t>(bucket_of(value))] += 1;
+    samples += 1;
+    sum += value;
   }
+
   [[nodiscard]] double mean() const noexcept {
-    return samples_ == 0 ? 0.0
-                         : static_cast<double>(total_) /
-                               static_cast<double>(samples_);
+    return samples == 0
+               ? 0.0
+               : static_cast<double>(sum) / static_cast<double>(samples);
   }
 
-  /// Smallest latency L such that at least `q` (0..1) of samples are <=
-  /// the upper edge of L's bucket. Bucket-granular (upper edge returned).
-  [[nodiscard]] Cycles percentile(double q) const noexcept {
-    if (samples_ == 0) return 0;
-    const auto want = static_cast<std::uint64_t>(
-        q * static_cast<double>(samples_));
+  /// Upper edge of the bucket holding the q'th (0..1) sample: 0 when
+  /// empty, and the first non-empty bucket when q * samples < 1.
+  [[nodiscard]] std::uint64_t percentile(double q) const noexcept {
+    if (samples == 0) return 0;
+    const auto want =
+        static_cast<std::uint64_t>(q * static_cast<double>(samples));
     std::uint64_t seen = 0;
     for (int b = 0; b < kBuckets; ++b) {
-      seen += counts_[static_cast<std::size_t>(b)];
-      if (seen >= want) {
-        return (Cycles{1} << (b + 1)) - 1;
+      seen += counts[static_cast<std::size_t>(b)];
+      if (seen >= want && seen > 0) {
+        return (std::uint64_t{1} << (b + 1)) - 1;
       }
     }
-    return (Cycles{1} << kBuckets) - 1;
+    return ~std::uint64_t{0};
   }
 
- private:
-  std::array<std::uint64_t, kBuckets> counts_{};
-  std::uint64_t total_ = 0;
-  std::uint64_t samples_ = 0;
+  HistogramData& operator-=(const HistogramData& other) noexcept {
+    for (int b = 0; b < kBuckets; ++b) {
+      counts[static_cast<std::size_t>(b)] -=
+          other.counts[static_cast<std::size_t>(b)];
+    }
+    samples -= other.samples;
+    sum -= other.sum;
+    return *this;
+  }
 };
 
 /// One sampled epoch of machine activity.

@@ -40,17 +40,16 @@ Json span_event(int pid, const TraceSpan& s) {
   return Json(std::move(ev));
 }
 
-Json instant_event(int pid, NodeId node, ProtoEventKind kind, Addr block,
-                   Cycles time) {
+Json instant_event(int pid, const TraceInstant& i) {
   Json::Object ev;
-  ev.emplace_back("name", Json(to_string(kind)));
+  ev.emplace_back("name", Json(to_string(i.kind)));
   ev.emplace_back("cat", Json("coherence"));
   ev.emplace_back("ph", Json("i"));
   ev.emplace_back("s", Json("t"));  // Thread-scoped instant.
-  ev.emplace_back("ts", Json(time));
+  ev.emplace_back("ts", Json(i.time));
   ev.emplace_back("pid", Json(pid));
-  ev.emplace_back("tid", Json(static_cast<int>(node)));
-  ev.emplace_back("args", block_args(block));
+  ev.emplace_back("tid", Json(static_cast<int>(i.node)));
+  ev.emplace_back("args", block_args(i.block));
   return Json(std::move(ev));
 }
 
@@ -78,16 +77,10 @@ Json chrome_trace_to_json(const std::vector<TraceProcess>& processes) {
         note_node(s.node);
       }
       for (const TraceInstant& i : proc.trace->instants()) {
-        events.push_back(instant_event(pid, i.node, i.kind, i.block, i.time));
+        events.push_back(instant_event(pid, i));
         note_node(i.node);
       }
       dropped_total += proc.trace->dropped();
-    }
-    if (proc.log != nullptr) {
-      proc.log->for_each([&](const ProtocolEvent& e) {
-        events.push_back(instant_event(pid, e.actor, e.kind, e.block, e.time));
-        note_node(e.actor);
-      });
     }
 
     std::sort(nodes_seen.begin(), nodes_seen.end());
@@ -117,7 +110,7 @@ void write_chrome_trace(std::ostream& os,
 
 void write_chrome_trace(std::ostream& os, const std::string& name,
                         const CoherenceTrace& trace) {
-  write_chrome_trace(os, {TraceProcess{name, &trace, nullptr}});
+  write_chrome_trace(os, {TraceProcess{name, &trace}});
 }
 
 bool parse_chrome_trace(std::string_view text,

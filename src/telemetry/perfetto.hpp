@@ -23,18 +23,16 @@
 #include <string_view>
 #include <vector>
 
-#include "core/event_log.hpp"
 #include "telemetry/coherence_trace.hpp"
 #include "telemetry/json.hpp"
 
 namespace lssim {
 
 /// One named timeline process for the exporter (typically one protocol
-/// run). `trace` or `log` may be null; log events export as instants.
+/// run). `trace` may be null (the process is then named but empty).
 struct TraceProcess {
   std::string name;
   const CoherenceTrace* trace = nullptr;
-  const EventLog* log = nullptr;
 };
 
 /// Builds the full Chrome trace-event document.

@@ -12,14 +12,13 @@
 // same pattern as core/event_log.hpp.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "stats/timeline.hpp"
 #include "telemetry/json.hpp"
 
 namespace lssim {
@@ -50,59 +49,6 @@ struct GaugeHandle {
 struct HistogramHandle {
   std::uint32_t index = UINT32_MAX;
   [[nodiscard]] bool valid() const noexcept { return index != UINT32_MAX; }
-};
-
-/// Log-scale (power-of-two bucket) histogram data: bucket i counts values
-/// in [2^i, 2^(i+1)); bucket 0 also holds zeros.
-struct HistogramData {
-  static constexpr int kBuckets = 32;
-
-  std::array<std::uint64_t, kBuckets> counts{};
-  std::uint64_t samples = 0;
-  std::uint64_t sum = 0;
-
-  static constexpr int bucket_of(std::uint64_t value) noexcept {
-    return value == 0
-               ? 0
-               : std::min(kBuckets - 1, 63 - std::countl_zero(value));
-  }
-
-  void observe(std::uint64_t value) noexcept {
-    counts[static_cast<std::size_t>(bucket_of(value))] += 1;
-    samples += 1;
-    sum += value;
-  }
-
-  [[nodiscard]] double mean() const noexcept {
-    return samples == 0
-               ? 0.0
-               : static_cast<double>(sum) / static_cast<double>(samples);
-  }
-
-  /// Upper edge of the bucket holding the q'th (0..1) sample.
-  [[nodiscard]] std::uint64_t percentile(double q) const noexcept {
-    if (samples == 0) return 0;
-    const auto want =
-        static_cast<std::uint64_t>(q * static_cast<double>(samples));
-    std::uint64_t seen = 0;
-    for (int b = 0; b < kBuckets; ++b) {
-      seen += counts[static_cast<std::size_t>(b)];
-      if (seen >= want && seen > 0) {
-        return (std::uint64_t{1} << (b + 1)) - 1;
-      }
-    }
-    return ~std::uint64_t{0};
-  }
-
-  HistogramData& operator-=(const HistogramData& other) noexcept {
-    for (int b = 0; b < kBuckets; ++b) {
-      counts[static_cast<std::size_t>(b)] -=
-          other.counts[static_cast<std::size_t>(b)];
-    }
-    samples -= other.samples;
-    sum -= other.sum;
-    return *this;
-  }
 };
 
 /// Registration-time description of one metric.
@@ -158,6 +104,12 @@ class MetricsRegistry {
   }
   void observe(HistogramHandle h, std::uint64_t value) noexcept {
     histograms_[h.index].observe(value);
+  }
+  /// Replaces a histogram's contents with one recorded elsewhere (the
+  /// scheduler keeps its latency histograms in Stats and publishes them
+  /// here once, at the end of the run).
+  void set(HistogramHandle h, const HistogramData& data) noexcept {
+    histograms_[h.index] = data;
   }
 
   // --- inspection ------------------------------------------------------

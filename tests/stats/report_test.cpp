@@ -83,9 +83,9 @@ TEST(Report, InvalidationFigurePrints) {
 }
 
 TEST(Report, LatencyHistogramRendering) {
-  LatencyHistogram hist;
-  for (int i = 0; i < 80; ++i) hist.record(1);
-  for (int i = 0; i < 20; ++i) hist.record(300);
+  HistogramData hist;
+  for (int i = 0; i < 80; ++i) hist.observe(1);
+  for (int i = 0; i < 20; ++i) hist.observe(300);
   std::ostringstream os;
   print_latency_histogram(os, "reads", hist);
   const std::string out = os.str();

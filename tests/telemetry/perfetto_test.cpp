@@ -133,33 +133,14 @@ TEST(PerfettoTest, MultiProcessExportAssignsDistinctPids) {
   const CoherenceTrace a = make_small_trace();
   const CoherenceTrace b = make_small_trace();
   std::ostringstream os;
-  write_chrome_trace(os, {TraceProcess{"Baseline", &a, nullptr},
-                          TraceProcess{"LS", &b, nullptr}});
+  write_chrome_trace(os, {TraceProcess{"Baseline", &a},
+                          TraceProcess{"LS", &b}});
   std::vector<ChromeTraceEvent> events;
   std::string error;
   ASSERT_TRUE(parse_chrome_trace(os.str(), &events, &error)) << error;
   std::set<int> pids;
   for (const ChromeTraceEvent& e : events) pids.insert(e.pid);
   EXPECT_EQ(pids, (std::set<int>{0, 1}));
-}
-
-TEST(PerfettoTest, EventLogExportsAsInstants) {
-  EventLog log(8);
-  log.record(42, ProtoEventKind::kWriteback, 0x100, 2, DirState::kUncached,
-             false);
-  std::ostringstream os;
-  write_chrome_trace(os, {TraceProcess{"log", nullptr, &log}});
-  std::vector<ChromeTraceEvent> events;
-  std::string error;
-  ASSERT_TRUE(parse_chrome_trace(os.str(), &events, &error)) << error;
-  const auto wb =
-      std::find_if(events.begin(), events.end(), [](const ChromeTraceEvent& e) {
-        return e.name == "writeback";
-      });
-  ASSERT_NE(wb, events.end());
-  EXPECT_EQ(wb->ph, "i");
-  EXPECT_EQ(wb->ts, 42u);
-  EXPECT_EQ(wb->tid, 2);
 }
 
 TEST(PerfettoTest, ParseRejectsMalformedDocuments) {
@@ -189,7 +170,7 @@ TEST(PerfettoTest, EndToEndRunProducesDurationEventsPerExercisedKind) {
   std::vector<TraceProcess> processes;
   for (const DriverRun& run : runs) {
     processes.push_back(
-        TraceProcess{to_string(run.result.protocol), &run.trace, nullptr});
+        TraceProcess{to_string(run.result.protocol), &run.trace});
   }
   std::ostringstream os;
   write_chrome_trace(os, processes);
