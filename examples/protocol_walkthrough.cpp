@@ -59,10 +59,13 @@ int main() {
   access(0, MemOpKind::kRead, "P0 reads before P3 writes (NotLS, de-tag)");
   access(0, MemOpKind::kWrite, "P0 writes (upgrade; by LR -> re-tag)");
 
+  const auto count = [&stats](ProtoEventKind kind) {
+    return static_cast<unsigned long long>(stats.events(kind));
+  };
   std::printf("\nownership acquisitions: %llu, eliminated: %llu, NotLS: %llu\n",
-              static_cast<unsigned long long>(stats.ownership_acquisitions),
-              static_cast<unsigned long long>(stats.eliminated_acquisitions),
-              static_cast<unsigned long long>(stats.notls_messages));
+              count(ProtoEventKind::kUpgrade),
+              count(ProtoEventKind::kLocalWrite),
+              count(ProtoEventKind::kNotLs));
 
   std::printf("\nprotocol event log:\n");
   std::ostringstream log_text;

@@ -9,18 +9,6 @@ CacheHierarchy::CacheHierarchy(const CacheConfig& l1, const CacheConfig& l2)
   assert(l1.block_bytes == l2.block_bytes);
 }
 
-void CacheHierarchy::attach_telemetry(MetricsRegistry* metrics,
-                                      NodeId node) {
-  metrics_ = metrics;
-  if (metrics_ == nullptr) {
-    return;
-  }
-  const MetricLabels labels{{"node", std::to_string(node)}};
-  l2_fills_ = metrics_->counter("cache.l2_fills", labels);
-  l2_evictions_ = metrics_->counter("cache.l2_evictions", labels);
-  l1_refills_ = metrics_->counter("cache.l1_refills", labels);
-}
-
 ProbeResult CacheHierarchy::probe(Addr block) const noexcept {
   ProbeResult result;
   if (const CacheLine* line2 = l2_.find(block)) {
@@ -40,12 +28,6 @@ CacheLine CacheHierarchy::fill(Addr block, CacheState state) {
   if (l1_.find(block) == nullptr) {
     (void)l1_.insert_silent(block, state);  // L1 victim silent: L2 retains it.
   }
-  if (metrics_ != nullptr) {
-    metrics_->add(l2_fills_);
-    if (l2_victim.valid()) {
-      metrics_->add(l2_evictions_);
-    }
-  }
   return l2_victim;
 }
 
@@ -57,11 +39,7 @@ void CacheHierarchy::refill_l1(Addr block) {
 
 CacheLine* CacheHierarchy::refill_l1(const CacheLine& line2) {
   assert(l1_.find(line2.block) == nullptr);
-  CacheLine* line1 = l1_.insert_silent(line2.block, line2.state);
-  if (metrics_ != nullptr) {
-    metrics_->add(l1_refills_);
-  }
-  return line1;
+  return l1_.insert_silent(line2.block, line2.state);
 }
 
 void CacheHierarchy::set_state(Addr block, CacheState state) noexcept {

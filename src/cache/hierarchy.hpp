@@ -12,7 +12,6 @@
 #include "cache/cache.hpp"
 #include "sim/config.hpp"
 #include "sim/types.hpp"
-#include "telemetry/registry.hpp"
 
 namespace lssim {
 
@@ -34,12 +33,6 @@ struct LineLookup {
 class CacheHierarchy {
  public:
   CacheHierarchy(const CacheConfig& l1, const CacheConfig& l2);
-
-  /// Publishes this node's cache activity (L2 fills/evictions, L1
-  /// refills) as per-node labelled counters. Registration only; the fill
-  /// paths then pay one branch per event when attached, zero bumps when
-  /// not.
-  void attach_telemetry(MetricsRegistry* metrics, NodeId node);
 
   [[nodiscard]] ProbeResult probe(Addr block) const noexcept;
 
@@ -104,10 +97,6 @@ class CacheHierarchy {
  private:
   Cache l1_;
   Cache l2_;
-  MetricsRegistry* metrics_ = nullptr;
-  CounterHandle l2_fills_;
-  CounterHandle l2_evictions_;
-  CounterHandle l1_refills_;
 };
 
 }  // namespace lssim

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "sim/types.hpp"
-#include "telemetry/registry.hpp"
 
 namespace lssim {
 
@@ -104,11 +103,6 @@ class Directory {
   /// starts out tagged (first cold read returns an exclusive copy).
   explicit Directory(bool default_tagged = false)
       : default_tagged_(default_tagged) {}
-
-  /// Publishes the directory's metrics (entry population) into
-  /// `metrics`; pass null to detach. Registration only — hot-path entry
-  /// creation then costs one branch plus one indexed bump.
-  void attach_telemetry(MetricsRegistry* metrics);
 
   /// Entry for `block` (block-aligned address), created on first use.
   ///
@@ -280,9 +274,6 @@ class Directory {
       slot.entry.tagged = true;
     }
     size_ += 1;
-    if (metrics_ != nullptr) {
-      metrics_->add(entries_created_);
-    }
     remember(block, i);
     return slot.entry;
   }
@@ -326,8 +317,6 @@ class Directory {
   Addr mru_key_ = kEmptyKey;
   std::size_t mru_index_ = 0;
   bool default_tagged_;
-  MetricsRegistry* metrics_ = nullptr;
-  CounterHandle entries_created_;
 };
 
 }  // namespace lssim

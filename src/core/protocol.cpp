@@ -21,15 +21,12 @@ MemorySystem::MemorySystem(const MachineConfig& config, AddressSpace& space,
       policy_observes_accesses_(policy_->observes_accesses()),
       dirpol_(make_directory_policy(config)),
       dir_entry_limit_(dirpol_->max_entries()),
-      net_(make_interconnect(
-          config, stats,
-          telemetry != nullptr ? telemetry->metrics() : nullptr)),
+      net_(make_interconnect(config, stats)),
       dir_(config.protocol.default_tagged &&
            policy_->supports_default_tagged()),
       fs_(config.classify_false_sharing, stats),
       oracle_(true),
       log_(config.event_log_capacity),
-      metrics_(telemetry != nullptr ? telemetry->metrics() : nullptr),
       trace_(telemetry != nullptr ? telemetry->trace() : nullptr),
       audit_(telemetry != nullptr ? telemetry->audit() : nullptr) {
   assert(config.validate().empty());
@@ -47,29 +44,6 @@ MemorySystem::MemorySystem(const MachineConfig& config, AddressSpace& space,
   caches_.reserve(static_cast<std::size_t>(config.num_nodes));
   for (int n = 0; n < config.num_nodes; ++n) {
     caches_.emplace_back(config.l1, config.l2);
-    caches_.back().attach_telemetry(metrics_, static_cast<NodeId>(n));
-  }
-  dir_.attach_telemetry(metrics_);
-  if (metrics_ != nullptr) {
-    // Pre-register one counter per (node, protocol event kind) so the
-    // hot path is a single indexed bump behind a stable handle.
-    ev_counters_.resize(static_cast<std::size_t>(config.num_nodes));
-    for (int n = 0; n < config.num_nodes; ++n) {
-      const MetricLabels labels{{"node", std::to_string(n)}};
-      for (int k = 0; k < kNumProtoEventKinds; ++k) {
-        const auto kind = static_cast<ProtoEventKind>(k);
-        ev_counters_[static_cast<std::size_t>(n)]
-                    [static_cast<std::size_t>(k)] = metrics_->counter(
-                        std::string("coherence.") + to_string(kind), labels);
-      }
-    }
-    // Ownership-latency profiling: one histogram per transaction kind,
-    // fed with issue->grant cycles at the end of each global transaction.
-    for (std::size_t k = 0; k < txn_latency_.size(); ++k) {
-      txn_latency_[k] = metrics_->histogram(
-          "ownership.latency",
-          {{"op", to_string(static_cast<ProtoEventKind>(k))}});
-    }
   }
 }
 
@@ -130,14 +104,12 @@ std::uint64_t MemorySystem::apply_data(const AccessRequest& req) {
 }
 
 // emit and close_txn are forced inline at every call site, so with the
-// sinks off an event costs their null checks and no call.
+// optional sinks off an event costs one count and their null checks.
 [[gnu::always_inline]] inline void MemorySystem::emit(
     const ProtocolEvent& event) {
   log_.record(event);
-  if (metrics_ != nullptr) {
-    metrics_->add(
-        ev_counters_[event.actor][static_cast<std::size_t>(event.kind)]);
-  }
+  stats_.per_node[event.actor].events[static_cast<std::size_t>(event.kind)] +=
+      1;
   if (trace_ != nullptr && is_point_event(event.kind)) {
     trace_->instant(event.actor, event.kind, event.block, event.time);
   }
@@ -148,10 +120,8 @@ std::uint64_t MemorySystem::apply_data(const AccessRequest& req) {
   if (trace_ != nullptr) {
     trace_->span(node, kind, block, begin, end);
   }
-  if (metrics_ != nullptr) {
-    metrics_->observe(txn_latency_[static_cast<std::size_t>(kind)],
-                      end - begin);
-  }
+  stats_.ownership_latency[static_cast<std::size_t>(kind)].observe(end -
+                                                                  begin);
 }
 
 void MemorySystem::tag_event(DirEntry& entry, TagReason reason, Addr block,
@@ -168,7 +138,6 @@ void MemorySystem::tag_event(DirEntry& entry, TagReason reason, Addr block,
   if (++entry.tag_progress >= cfg_.protocol.tag_hysteresis) {
     entry.tagged = true;
     entry.tag_progress = 0;
-    stats_.blocks_tagged += 1;
     emit({current_time_, block, ProtoEventKind::kTag, node, entry.state,
           true});
     audit_event(TagAuditEvent::kTag, reason, entry, block, node);
@@ -189,7 +158,6 @@ void MemorySystem::detag_event(DirEntry& entry, TagReason reason, Addr block,
   if (++entry.detag_progress >= cfg_.protocol.detag_hysteresis) {
     entry.tagged = false;
     entry.detag_progress = 0;
-    stats_.blocks_detagged += 1;
     emit({current_time_, block, ProtoEventKind::kDetag, node, entry.state,
           false});
     audit_event(TagAuditEvent::kDetag, reason, entry, block, node);
@@ -455,7 +423,6 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
   const bool want_exclusive =
       policy_->read_grants_exclusive(e, predicted_exclusive);
 
-  stats_.global_read_misses += 1;
   stats_.data_misses += 1;
   emit({now, block, ProtoEventKind::kReadMiss, node, e.state, e.tagged});
   stats_.read_miss_home_state[static_cast<std::size_t>(
@@ -517,7 +484,6 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
         oc.set_state(block, CacheState::kShared);
         apply_tag_action(policy_->on_foreign_access(e), e,
                          TagReason::kForeignAccess, block, node);
-        stats_.notls_messages += 1;
         emit({now, block, ProtoEventKind::kNotLs, owner, e.state, e.tagged});
         t = leg_noegress(owner, home, MsgType::kNotLs, t);
         e.state = DirState::kShared;
@@ -604,13 +570,10 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
   const ProtoEventKind kind =
       upgrade ? ProtoEventKind::kUpgrade : ProtoEventKind::kWriteMiss;
 
-  stats_.global_write_actions += 1;
-  if (upgrade) {
-    // Paper Fig 5: "Global Inv's" are ownership acquisitions — global
-    // write actions to a block that is Shared (or Owned) in the local
-    // cache.
-    stats_.ownership_acquisitions += 1;
-  } else {
+  // A write miss fetches the block; an upgrade (paper Fig 5's "Global
+  // Inv's": an ownership acquisition on a locally Shared or Owned copy)
+  // already holds it.
+  if (!upgrade) {
     stats_.data_misses += 1;
   }
 
@@ -780,15 +743,14 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
     result.latency = result.l1_hit ? lat_.l1_access
                                    : lat_.l1_access + lat_.l2_access;
     if (result.l1_hit) {
-      stats_.l1_hits += 1;
+      stats_.per_node[node].l1_hits += 1;
     } else {
-      stats_.l2_hits += 1;
+      stats_.per_node[node].l2_hits += 1;
       lines.l1 = ch.refill_l1(*lines.l2);
     }
     if (is_write && lines.l2->state == CacheState::kLStemp) {
       lines.l2->state = CacheState::kModified;
       lines.l1->state = CacheState::kModified;
-      stats_.eliminated_acquisitions += 1;
       emit({now, block, ProtoEventKind::kLocalWrite, node, DirState::kExcl,
             true});
       // This store would have been a global write action under the

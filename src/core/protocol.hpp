@@ -19,7 +19,6 @@
 // 220 (2-hop clean) or 420 (4-hop read-on-dirty) cycles.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -82,10 +81,10 @@ struct AccessResult {
 
 class MemorySystem {
  public:
-  /// `telemetry` (optional) attaches the observability layer: per-node
-  /// protocol-event counters in the metrics registry and begin/end spans
-  /// in the coherence trace. Null (the default) keeps every hook to a
-  /// single branch.
+  /// `telemetry` (optional) attaches the observability layer's hot-path
+  /// sinks: begin/end spans in the coherence trace and the tag-decision
+  /// audit. Null (the default) keeps every hook to a single branch.
+  /// Counts go to `stats` unconditionally.
   ///
   /// `policy_override` (optional) replaces the registry-resolved policy;
   /// the verification subsystem uses it to inject deliberately buggy
@@ -192,12 +191,12 @@ class MemorySystem {
   void evict_directory_entry(Addr incoming, Cycles now);
 
   /// The one emission point for a coherence event: the event log, the
-  /// per-node `coherence.<kind>` counter and, for point events, a trace
-  /// instant (docs/OBSERVABILITY.md has the kind -> sink table). Each
-  /// sink is skipped when its pillar is off.
+  /// actor's per-kind count in Stats and, for point events, a trace
+  /// instant (docs/OBSERVABILITY.md has the kind -> sink table). The log
+  /// and the trace are skipped when off.
   void emit(const ProtocolEvent& event);
   /// Completes transaction `kind` (read miss, write miss, upgrade): its
-  /// trace span and its `ownership.latency` sample (issue -> grant).
+  /// trace span and its Stats::ownership_latency sample (issue -> grant).
   void close_txn(ProtoEventKind kind, NodeId node, Addr block, Cycles begin,
                  Cycles end);
   /// Tag-decision audit: records `entry`'s state AFTER the transition.
@@ -257,7 +256,6 @@ class MemorySystem {
   LoadStoreOracle oracle_;
   EventLog log_;
   // Observability (null when disabled; see src/telemetry/).
-  MetricsRegistry* metrics_ = nullptr;
   CoherenceTrace* trace_ = nullptr;
   TagAuditLog* audit_ = nullptr;
   /// Invariant checker hook (null when verification is off).
@@ -265,11 +263,6 @@ class MemorySystem {
   /// Cached cfg_.classify_false_sharing: gates the word-mask computation
   /// and classifier hooks out of the hot path in the common (off) case.
   bool fs_enabled_ = false;
-  /// Per-node, per-kind counter handles (registered once at startup).
-  std::vector<std::array<CounterHandle, kNumProtoEventKinds>> ev_counters_;
-  /// Ownership-latency histograms (`ownership.latency{op=...}`), indexed
-  /// by transaction kind; invalid handles when metrics are off.
-  std::array<HistogramHandle, kNumTxnKinds> txn_latency_;
   // Scratch: context of the in-flight access (for oracle/audit hooks).
   StreamTag current_tag_ = StreamTag::kApp;
   Cycles current_time_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "core/directory_registry.hpp"
@@ -18,16 +19,16 @@ std::string lower(std::string text) {
   return text;
 }
 
+}  // namespace
+
 bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
+  const char* end = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || stop != end) return false;
   *out = value;
   return true;
 }
-
-}  // namespace
 
 bool parse_size(const std::string& text, std::uint64_t* out) {
   if (text.empty()) return false;

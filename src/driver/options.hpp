@@ -83,6 +83,10 @@ bool parse_driver_args(int argc, const char* const* argv,
 /// "64k" -> 65536, "1m" -> 1048576, "512" -> 512. Returns false on junk.
 bool parse_size(const std::string& text, std::uint64_t* out);
 
+/// Whole-string unsigned decimal: no sign, no whitespace, no suffix, no
+/// value beyond 2^64 - 1. Returns false on anything else.
+bool parse_u64(const std::string& text, std::uint64_t* out);
+
 /// Protocol name (case-insensitive: baseline/ad/ls/ils) to enum.
 bool parse_protocol(const std::string& text, ProtocolKind* out);
 

@@ -1,12 +1,14 @@
 #include "driver/runner.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 
 #include "check/invariants.hpp"
 #include "core/directory_registry.hpp"
@@ -34,24 +36,29 @@ class ParamReader {
   explicit ParamReader(const std::map<std::string, std::string>& params)
       : params_(params) {}
 
-  void get(const char* key, int* out) {
+  /// Parses `key`'s value, when given, into `out` (int, double, or
+  /// std::uint64_t, which Cycles aliases). The whole string must be one
+  /// value within the field's range: a sign on an unsigned field, a
+  /// trailing suffix, or a non-finite double throws
+  /// std::invalid_argument.
+  template <typename T>
+  void get(const char* key, T* out) {
     const auto it = params_.find(key);
     if (it == params_.end()) return;
     consumed_.insert(key);
-    *out = std::atoi(it->second.c_str());
-  }
-  void get(const char* key, double* out) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return;
-    consumed_.insert(key);
-    *out = std::atof(it->second.c_str());
-  }
-  // Cycles is an alias of std::uint64_t: one overload serves both.
-  void get(const char* key, std::uint64_t* out) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return;
-    consumed_.insert(key);
-    *out = std::strtoull(it->second.c_str(), nullptr, 10);
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || stop != end ||
+        !std::isfinite(static_cast<double>(value))) {
+      const char* kind = std::is_floating_point_v<T> ? "a finite number"
+                         : std::is_signed_v<T>      ? "an int"
+                                                    : "an unsigned integer";
+      throw std::invalid_argument("workload parameter " + std::string(key) +
+                                  "='" + text + "': not " + kind);
+    }
+    *out = value;
   }
 
   /// Throws if any --set key was not consumed by the chosen workload.
@@ -76,69 +83,26 @@ bool driver_knows_workload(const std::string& name) {
          name == "pingpong" || name == "private" || name == "readmostly";
 }
 
-bool resolve_protocol_list(const std::string& csv,
-                           std::vector<ProtocolKind>* out,
-                           std::string* error) {
-  std::vector<ProtocolKind> kinds;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string name = csv.substr(start, comma - start);
-    const ProtocolInfo* info = find_protocol(name);
-    if (info == nullptr) {
-      *error = "unknown protocol '" + name + "' in --protocols " + csv +
-               " (registered: " + registered_protocol_names() + ")";
-      return false;
-    }
-    if (std::find(kinds.begin(), kinds.end(), info->kind) == kinds.end()) {
-      kinds.push_back(info->kind);
-    }
-    start = comma + 1;
-  }
-  *out = std::move(kinds);
-  return true;
-}
+namespace {
 
-bool resolve_directory_list(const std::string& csv,
-                            std::vector<DirectoryKind>* out,
-                            std::string* error) {
-  std::vector<DirectoryKind> kinds;
+/// Splits `csv` on commas, resolves each name with `find(name, &kind)`
+/// and keeps each kind once, in first-seen order. An unknown name sets
+/// `*error` to "unknown <what> '<name>' in <flag> <csv> (registered:
+/// <registered()>)".
+template <typename Kind, typename Find, typename Registered>
+bool resolve_list(const std::string& csv, const char* what, const char* flag,
+                  Find find, Registered registered, std::vector<Kind>* out,
+                  std::string* error) {
+  std::vector<Kind> kinds;
   std::size_t start = 0;
   while (start <= csv.size()) {
     std::size_t comma = csv.find(',', start);
     if (comma == std::string::npos) comma = csv.size();
     const std::string name = csv.substr(start, comma - start);
-    const DirectoryInfo* info = find_directory(name);
-    if (info == nullptr) {
-      *error = "unknown directory organisation '" + name +
-               "' in --directories " + csv +
-               " (registered: " + registered_directory_names() + ")";
-      return false;
-    }
-    if (std::find(kinds.begin(), kinds.end(), info->kind) == kinds.end()) {
-      kinds.push_back(info->kind);
-    }
-    start = comma + 1;
-  }
-  *out = std::move(kinds);
-  return true;
-}
-
-bool resolve_interconnect_list(const std::string& csv,
-                               std::vector<InterconnectKind>* out,
-                               std::string* error) {
-  std::vector<InterconnectKind> kinds;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string name = csv.substr(start, comma - start);
-    InterconnectKind kind;
-    if (!interconnect_from_name(name, &kind)) {
-      *error = "unknown interconnect '" + name + "' in --interconnects " +
-               csv + " (registered: " + registered_interconnect_names() +
-               ")";
+    Kind kind;
+    if (!find(name, &kind)) {
+      *error = std::string("unknown ") + what + " '" + name + "' in " + flag +
+               " " + csv + " (registered: " + registered() + ")";
       return false;
     }
     if (std::find(kinds.begin(), kinds.end(), kind) == kinds.end()) {
@@ -148,6 +112,37 @@ bool resolve_interconnect_list(const std::string& csv,
   }
   *out = std::move(kinds);
   return true;
+}
+
+}  // namespace
+
+bool resolve_protocol_list(const std::string& csv,
+                           std::vector<ProtocolKind>* out,
+                           std::string* error) {
+  return resolve_list(
+      csv, "protocol", "--protocols", parse_protocol,
+      [] { return registered_protocol_names(); }, out, error);
+}
+
+bool resolve_directory_list(const std::string& csv,
+                            std::vector<DirectoryKind>* out,
+                            std::string* error) {
+  const auto find = [](const std::string& name, DirectoryKind* kind) {
+    const DirectoryInfo* info = find_directory(name);
+    if (info != nullptr) *kind = info->kind;
+    return info != nullptr;
+  };
+  return resolve_list(
+      csv, "directory organisation", "--directories", find,
+      [] { return registered_directory_names(); }, out, error);
+}
+
+bool resolve_interconnect_list(const std::string& csv,
+                               std::vector<InterconnectKind>* out,
+                               std::string* error) {
+  return resolve_list(
+      csv, "interconnect", "--interconnects", interconnect_from_name,
+      [] { return registered_interconnect_names(); }, out, error);
 }
 
 std::string registered_interconnect_names(const char* sep) {

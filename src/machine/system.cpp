@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "check/invariants.hpp"
 #include "machine/ready_queue.hpp"
@@ -40,16 +41,6 @@ System::System(const MachineConfig& config, std::uint64_t seed)
   for (int n = 0; n < config.num_nodes; ++n) {
     procs_.push_back(
         std::make_unique<Processor>(static_cast<NodeId>(n), seed));
-  }
-  if (MetricsRegistry* m = telemetry_.metrics()) {
-    read_latency_h_ = m->histogram("sys.read_latency");
-    write_latency_h_ = m->histogram("sys.write_latency");
-    exec_time_g_ = m->gauge("sys.exec_cycles");
-    node_accesses_.reserve(static_cast<std::size_t>(config.num_nodes));
-    for (int n = 0; n < config.num_nodes; ++n) {
-      node_accesses_.push_back(m->counter(
-          "sys.accesses", MetricLabels{{"node", std::to_string(n)}}));
-    }
   }
 }
 
@@ -101,14 +92,13 @@ void System::run() {
     }
     (req.is_write() ? stats_.write_latency : stats_.read_latency)
         .observe(res.latency);
-    if (MetricsRegistry* m = telemetry_.metrics()) {
-      m->add(node_accesses_[next->id_]);
-    }
-    if (timeline_.enabled()) {
-      timeline_.observe(next->time_, stats_.accesses,
-                        stats_.messages_total(), stats_.global_read_misses,
-                        stats_.global_write_actions,
-                        stats_.eliminated_acquisitions);
+    if (timeline_.due(next->time_)) {
+      timeline_.observe(
+          next->time_, stats_.accesses, stats_.messages_total(),
+          stats_.events(ProtoEventKind::kReadMiss),
+          stats_.events(ProtoEventKind::kWriteMiss) +
+              stats_.events(ProtoEventKind::kUpgrade),
+          stats_.events(ProtoEventKind::kLocalWrite));
     }
 
     // Time accounting. Under sequential consistency (paper default) one
@@ -163,12 +153,8 @@ void System::run() {
   if (checker_) {
     checker_->final_check(memory_);
   }
-  if (MetricsRegistry* m = telemetry_.metrics()) {
-    m->set(exec_time_g_, static_cast<std::int64_t>(exec_time()));
-    // The latency histograms are recorded once, in Stats; the registry
-    // carries copies from here on.
-    m->set(read_latency_h_, stats_.read_latency);
-    m->set(write_latency_h_, stats_.write_latency);
+  if (telemetry_.metrics_enabled()) {
+    publish_metrics(stats_, memory_, exec_time(), telemetry_.registry());
   }
 }
 
@@ -178,6 +164,61 @@ Cycles System::exec_time() const noexcept {
     latest = std::max(latest, proc->time_);
   }
   return latest;
+}
+
+void publish_metrics(const Stats& stats, const MemorySystem& memory,
+                     Cycles exec_time, MetricsRegistry& registry) {
+  const auto count = [&registry](std::string name, MetricLabels labels,
+                                 std::uint64_t value) {
+    registry.add(registry.counter(std::move(name), std::move(labels)),
+                 value);
+  };
+  const auto node = [](std::size_t n) {
+    return MetricLabels{{"node", std::to_string(n)}};
+  };
+  const auto ev = [](const NodeCounts& c, ProtoEventKind kind) {
+    return c.events[static_cast<std::size_t>(kind)];
+  };
+  using K = ProtoEventKind;
+
+  count("net.messages", {}, stats.messages_total());
+  count("net.hops", {}, stats.network_hops);
+  registry.set(registry.histogram("net.queue_delay"), stats.queue_delay);
+  for (std::size_t n = 0; n < stats.per_node.size(); ++n) {
+    const NodeCounts& c = stats.per_node[n];
+    // Every read or write miss fills L2; every L2 victim is written back
+    // or hinted; every L2 hit refills L1.
+    count("cache.l2_fills", node(n),
+          ev(c, K::kReadMiss) + ev(c, K::kWriteMiss));
+    count("cache.l2_evictions", node(n),
+          ev(c, K::kWriteback) + ev(c, K::kReplHint));
+    count("cache.l1_refills", node(n), c.l2_hits);
+  }
+  // Sparse-directory evictions are the only entry removals.
+  count("directory.entries_created", {},
+        memory.directory().size() + stats.dir_entry_evictions);
+  for (std::size_t n = 0; n < stats.per_node.size(); ++n) {
+    for (int k = 0; k < kNumProtoEventKinds; ++k) {
+      const auto kind = static_cast<ProtoEventKind>(k);
+      count(std::string("coherence.") + to_string(kind), node(n),
+            ev(stats.per_node[n], kind));
+    }
+  }
+  for (std::size_t k = 0; k < kNumTxnKinds; ++k) {
+    const char* op = to_string(static_cast<ProtoEventKind>(k));
+    registry.set(registry.histogram("ownership.latency", {{"op", op}}),
+                 stats.ownership_latency[k]);
+  }
+  registry.set(registry.histogram("sys.read_latency"), stats.read_latency);
+  registry.set(registry.histogram("sys.write_latency"), stats.write_latency);
+  registry.set(registry.gauge("sys.exec_cycles"),
+               static_cast<std::int64_t>(exec_time));
+  for (std::size_t n = 0; n < stats.per_node.size(); ++n) {
+    const NodeCounts& c = stats.per_node[n];
+    count("sys.accesses", node(n),
+          c.l1_hits + c.l2_hits + ev(c, K::kReadMiss) +
+              ev(c, K::kWriteMiss) + ev(c, K::kUpgrade));
+  }
 }
 
 }  // namespace lssim

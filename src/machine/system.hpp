@@ -41,7 +41,8 @@ class System {
   /// machine.
   void spawn(NodeId node, SimTask<void> program);
 
-  /// Runs all spawned programs to completion and finalizes statistics.
+  /// Runs all spawned programs to completion and finalizes statistics;
+  /// with telemetry.metrics on, then publishes them (publish_metrics).
   void run();
 
   [[nodiscard]] Processor& proc(NodeId node) noexcept {
@@ -112,13 +113,16 @@ class System {
   std::vector<std::shared_ptr<void>> retained_;
   EpochTimeline timeline_;
   std::vector<AccessObserver> observers_;
-  // System-level metric handles (only valid when telemetry.metrics is on).
-  HistogramHandle read_latency_h_;
-  HistogramHandle write_latency_h_;
-  std::vector<CounterHandle> node_accesses_;
-  GaugeHandle exec_time_g_;
   bool ran_ = false;
   bool timed_out_ = false;
 };
+
+/// Registers every metric in `registry` and sets it from a finished run's
+/// counts: `net.*`, per-node `cache.*`, `directory.entries_created`,
+/// per-node `coherence.<kind>`, `ownership.latency{op}` and `sys.*`, in
+/// that order. Each value is a Stats count or a sum of event counts
+/// (docs/OBSERVABILITY.md lists the identities).
+void publish_metrics(const Stats& stats, const MemorySystem& memory,
+                     Cycles exec_time, MetricsRegistry& registry);
 
 }  // namespace lssim

@@ -25,7 +25,6 @@
 #include "sim/config.hpp"
 #include "sim/types.hpp"
 #include "stats/stats.hpp"
-#include "telemetry/registry.hpp"
 
 namespace lssim {
 
@@ -35,9 +34,10 @@ class Interconnect {
 
   /// Delivers one message and returns its arrival time. Implementations
   /// must account the message in Stats (messages_by_type, traffic
-  /// matrix, network_hops) and may model contention by delaying the
-  /// returned time. Throws std::logic_error on src == dst — a self-send
-  /// is never a transport message and would corrupt the traffic stats.
+  /// matrix, network_hops, queue_delay) and may model contention by
+  /// delaying the returned time. Throws std::logic_error on src == dst —
+  /// a self-send is never a transport message and would corrupt the
+  /// traffic stats.
   virtual Cycles send(NodeId src, NodeId dst, MsgType type, Cycles now) = 0;
 
   /// Topology distance in hops (0 for src == dst). Latency-model input
@@ -45,7 +45,8 @@ class Interconnect {
   [[nodiscard]] virtual int hop_count(NodeId src,
                                       NodeId dst) const noexcept = 0;
 
-  /// Total cycles messages spent queued for contended resources.
+  /// Total cycles messages spent queued for contended resources:
+  /// Stats::queue_delay's sum (transports sharing one Stats share it).
   [[nodiscard]] virtual Cycles total_queueing() const noexcept = 0;
 
   [[nodiscard]] virtual int num_nodes() const noexcept = 0;
@@ -57,9 +58,8 @@ class Interconnect {
 };
 
 /// Creates the transport `config.interconnect` selects, accounting into
-/// `stats` (and `metrics` when attached).
+/// `stats`.
 [[nodiscard]] std::unique_ptr<Interconnect> make_interconnect(
-    const MachineConfig& config, Stats& stats,
-    MetricsRegistry* metrics = nullptr);
+    const MachineConfig& config, Stats& stats);
 
 }  // namespace lssim

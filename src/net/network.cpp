@@ -9,19 +9,13 @@
 namespace lssim {
 
 Network::Network(int num_nodes, const LatencyConfig& latency, Stats& stats,
-                 Topology topology, MetricsRegistry* metrics)
+                 Topology topology)
     : num_nodes_(num_nodes),
       topology_(topology),
       hop_(latency.hop),
       occupancy_(latency.link_occupancy),
-      stats_(stats),
-      metrics_(metrics) {
+      stats_(stats) {
   assert(num_nodes >= 1);
-  if (metrics_ != nullptr) {
-    messages_ = metrics_->counter("net.messages");
-    hops_ = metrics_->counter("net.hops");
-    queue_delay_ = metrics_->histogram("net.queue_delay");
-  }
   switch (topology_) {
     case Topology::kCrossbar:
     case Topology::kRing:
@@ -102,7 +96,6 @@ Cycles Network::send(NodeId src, NodeId dst, MsgType type, Cycles now) {
   int at = src;
   Cycles t = now;
   Cycles queued = 0;
-  std::uint64_t hops = 0;
   while (at != dst) {
     const int next = next_router(at, dst);
     Cycles& free_at = link_free(at, next);
@@ -111,15 +104,9 @@ Cycles Network::send(NodeId src, NodeId dst, MsgType type, Cycles now) {
     free_at = depart + occupancy_;
     t = depart + hop_;
     stats_.network_hops += 1;
-    hops += 1;
     at = next;
   }
-  total_queueing_ += queued;
-  if (metrics_ != nullptr) {
-    metrics_->add(messages_);
-    metrics_->add(hops_, hops);
-    metrics_->observe(queue_delay_, queued);
-  }
+  stats_.queue_delay.observe(queued);
   return t;
 }
 

@@ -17,17 +17,13 @@
 #include "sim/config.hpp"
 #include "sim/types.hpp"
 #include "stats/stats.hpp"
-#include "telemetry/registry.hpp"
 
 namespace lssim {
 
 class Network final : public Interconnect {
  public:
-  /// `metrics` (optional) publishes message/hop counters and a queueing-
-  /// delay histogram; null disables the hooks (one branch per send).
   Network(int num_nodes, const LatencyConfig& latency, Stats& stats,
-          Topology topology = Topology::kCrossbar,
-          MetricsRegistry* metrics = nullptr);
+          Topology topology = Topology::kCrossbar);
 
   /// Sends one message at time `now`; returns its arrival time at `dst`.
   ///
@@ -45,7 +41,7 @@ class Network final : public Interconnect {
 
   /// Total cycles messages spent queued behind busy links (diagnostics).
   [[nodiscard]] Cycles total_queueing() const noexcept override {
-    return total_queueing_;
+    return stats_.queue_delay.sum;
   }
 
   [[nodiscard]] int num_nodes() const noexcept override { return num_nodes_; }
@@ -69,12 +65,7 @@ class Network final : public Interconnect {
   Cycles hop_;
   Cycles occupancy_;
   std::vector<Cycles> link_free_;
-  Cycles total_queueing_ = 0;
   Stats& stats_;
-  MetricsRegistry* metrics_ = nullptr;
-  CounterHandle messages_;
-  CounterHandle hops_;
-  HistogramHandle queue_delay_;
 };
 
 }  // namespace lssim

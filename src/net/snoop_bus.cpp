@@ -10,19 +10,13 @@
 namespace lssim {
 
 SnoopBus::SnoopBus(int num_nodes, const LatencyConfig& latency, Stats& stats,
-                   BusArbitration arbitration, MetricsRegistry* metrics)
+                   BusArbitration arbitration)
     : num_nodes_(num_nodes),
       arbitration_(arbitration),
       hop_(latency.hop),
       occupancy_(latency.link_occupancy),
-      stats_(stats),
-      metrics_(metrics) {
+      stats_(stats) {
   assert(num_nodes >= 1);
-  if (metrics_ != nullptr) {
-    messages_ = metrics_->counter("net.messages");
-    hops_ = metrics_->counter("net.hops");
-    queue_delay_ = metrics_->histogram("net.queue_delay");
-  }
 }
 
 Cycles SnoopBus::send(NodeId src, NodeId dst, MsgType type, Cycles now) {
@@ -48,27 +42,20 @@ Cycles SnoopBus::send(NodeId src, NodeId dst, MsgType type, Cycles now) {
   const Cycles queued = depart - now;
   bus_free_ = depart + occupancy_;
   last_grantee_ = src;
-  total_queueing_ += queued;
   stats_.network_hops += 1;  // One broadcast transfer.
-  if (metrics_ != nullptr) {
-    metrics_->add(messages_);
-    metrics_->add(hops_, 1);
-    metrics_->observe(queue_delay_, queued);
-  }
+  stats_.queue_delay.observe(queued);
   return depart + hop_;
 }
 
 std::unique_ptr<Interconnect> make_interconnect(const MachineConfig& config,
-                                                Stats& stats,
-                                                MetricsRegistry* metrics) {
+                                                Stats& stats) {
   switch (config.interconnect) {
     case InterconnectKind::kNetwork:
       return std::make_unique<Network>(config.num_nodes, config.latency,
-                                       stats, config.topology, metrics);
+                                       stats, config.topology);
     case InterconnectKind::kBus:
       return std::make_unique<SnoopBus>(config.num_nodes, config.latency,
-                                        stats, config.bus_arbitration,
-                                        metrics);
+                                        stats, config.bus_arbitration);
   }
   throw std::invalid_argument("unknown interconnect kind");
 }

@@ -25,8 +25,7 @@ namespace lssim {
 class SnoopBus final : public Interconnect {
  public:
   SnoopBus(int num_nodes, const LatencyConfig& latency, Stats& stats,
-           BusArbitration arbitration = BusArbitration::kFcfs,
-           MetricsRegistry* metrics = nullptr);
+           BusArbitration arbitration = BusArbitration::kFcfs);
 
   /// Broadcasts one message at time `now`; returns the time the
   /// transfer completes. The bus serialises: the message departs no
@@ -42,7 +41,7 @@ class SnoopBus final : public Interconnect {
   }
 
   [[nodiscard]] Cycles total_queueing() const noexcept override {
-    return total_queueing_;
+    return stats_.queue_delay.sum;
   }
 
   [[nodiscard]] int num_nodes() const noexcept override { return num_nodes_; }
@@ -60,12 +59,7 @@ class SnoopBus final : public Interconnect {
   Cycles occupancy_;
   Cycles bus_free_ = 0;
   NodeId last_grantee_ = 0;
-  Cycles total_queueing_ = 0;
   Stats& stats_;
-  MetricsRegistry* metrics_ = nullptr;
-  CounterHandle messages_;
-  CounterHandle hops_;
-  HistogramHandle queue_delay_;
 };
 
 }  // namespace lssim

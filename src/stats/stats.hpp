@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/event_log.hpp"
 #include "net/message.hpp"
 #include "sim/types.hpp"
 #include "stats/timeline.hpp"
@@ -51,10 +52,22 @@ inline constexpr int kNumHomeStates = 4;
   return "?";
 }
 
-/// Whole-run statistics. One instance per simulation.
+/// One node's event counts. `events` counts the coherence events the
+/// node acted in, by kind (MemorySystem::emit); every miss, ownership and
+/// tag count the paper reports is a sum of these.
+struct NodeCounts {
+  std::array<std::uint64_t, kNumProtoEventKinds> events{};
+  std::uint64_t l1_hits = 0;
+  std::uint64_t l2_hits = 0;  ///< L1 misses that hit in L2.
+};
+
+/// Whole-run statistics. One instance per simulation. The metrics
+/// registry is filled from it after the run (publish_metrics,
+/// machine/system.hpp), so no count is kept twice.
 struct Stats {
   explicit Stats(int num_nodes)
       : per_proc(static_cast<std::size_t>(num_nodes)),
+        per_node(static_cast<std::size_t>(num_nodes)),
         traffic_matrix(num_nodes) {}
 
   // --- time ---------------------------------------------------------
@@ -82,29 +95,32 @@ struct Stats {
     return sum;
   }
 
+  // --- per-node event counts --------------------------------------------
+  std::vector<NodeCounts> per_node;
+  /// `kind` events summed over nodes: kReadMiss = global read misses,
+  /// kUpgrade = ownership acquisitions ("Global Inv's", Fig 5), kLocalWrite
+  /// = acquisitions the technique eliminated (writes satisfied in LStemp),
+  /// kWriteMiss + kUpgrade = global write actions.
+  [[nodiscard]] std::uint64_t events(ProtoEventKind kind) const noexcept {
+    std::uint64_t sum = 0;
+    for (const NodeCounts& n : per_node) {
+      sum += n.events[static_cast<std::size_t>(kind)];
+    }
+    return sum;
+  }
+
   // --- cache / miss counters ------------------------------------------
   std::uint64_t accesses = 0;
-  std::uint64_t l1_hits = 0;
-  std::uint64_t l2_hits = 0;
-  std::uint64_t global_read_misses = 0;
-  std::uint64_t global_write_actions = 0;  ///< Upgrades + write misses.
   std::array<std::uint64_t, kNumHomeStates> read_miss_home_state{};
 
   // --- ownership overhead ----------------------------------------------
-  std::uint64_t ownership_acquisitions = 0;  ///< "Global Inv's" (Fig 5).
   std::uint64_t invalidations_sent = 0;      ///< "Invalidations" (Fig 5).
   std::uint64_t single_invalidations = 0;    ///< Acquisitions with one inval.
-  /// Writes satisfied locally because the line was held exclusive-unwritten
-  /// (LStemp): ownership acquisitions the technique eliminated.
-  std::uint64_t eliminated_acquisitions = 0;
   /// Sparse-organisation directory-entry evictions (each one forces the
   /// victim block's cached copies to be invalidated / written back).
   std::uint64_t dir_entry_evictions = 0;
 
   // --- protocol events --------------------------------------------------
-  std::uint64_t blocks_tagged = 0;
-  std::uint64_t blocks_detagged = 0;
-  std::uint64_t notls_messages = 0;
   std::uint64_t exclusive_read_replies = 0;
   /// Write-update protocols (Dragon): writes that pushed new data to at
   /// least one remote shared copy instead of invalidating it...
@@ -115,6 +131,10 @@ struct Stats {
   // --- distributions / topology-resolved traffic -------------------------
   HistogramData read_latency;      ///< All read accesses (bucket 0 = hits).
   HistogramData write_latency;     ///< All write/RMW accesses.
+  /// Issue -> grant cycles of each global transaction, by kind (read
+  /// miss, write miss, upgrade).
+  std::array<HistogramData, kNumTxnKinds> ownership_latency{};
+  HistogramData queue_delay;       ///< Per-message transport queueing.
   TrafficMatrix traffic_matrix;    ///< Per (src, dst) message counts.
 
   // --- false sharing (paper Table 4) ------------------------------------

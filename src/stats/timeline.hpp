@@ -60,16 +60,6 @@ struct HistogramData {
     }
     return ~std::uint64_t{0};
   }
-
-  HistogramData& operator-=(const HistogramData& other) noexcept {
-    for (int b = 0; b < kBuckets; ++b) {
-      counts[static_cast<std::size_t>(b)] -=
-          other.counts[static_cast<std::size_t>(b)];
-    }
-    samples -= other.samples;
-    sum -= other.sum;
-    return *this;
-  }
 };
 
 /// One sampled epoch of machine activity.
@@ -90,6 +80,11 @@ class EpochTimeline {
       : epoch_length_(epoch_length), next_boundary_(epoch_length) {}
 
   [[nodiscard]] bool enabled() const noexcept { return epoch_length_ > 0; }
+  /// True when observe(now, ...) would emit a sample: callers can skip
+  /// computing the running totals otherwise.
+  [[nodiscard]] bool due(Cycles now) const noexcept {
+    return enabled() && now >= next_boundary_;
+  }
   [[nodiscard]] Cycles epoch_length() const noexcept {
     return epoch_length_;
   }

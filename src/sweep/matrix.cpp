@@ -1,6 +1,7 @@
 #include "sweep/matrix.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "driver/runner.hpp"
 #include "sweep/config_hash.hpp"
@@ -57,14 +58,23 @@ bool generate_sweep(const SweepAxes& axes, SweepMatrix* out,
   if (axes.l1_sizes.empty()) return fail("sweep axes: no L1 sizes");
   if (axes.l2_sizes.empty()) return fail("sweep axes: no L2 sizes");
   if (axes.block_sizes.empty()) return fail("sweep axes: no block sizes");
+  std::vector<std::pair<std::string, std::string>> params = axes.params;
+  std::sort(params.begin(), params.end());
   for (const std::string& workload : axes.workloads) {
     if (!driver_knows_workload(workload)) {
       return fail("sweep axes: unknown workload '" + workload + "'");
     }
+    // Every unit of `workload` gets the same parameters: one builder
+    // check rejects a bad --set value before any unit runs.
+    DriverOptions options;
+    options.workload = workload;
+    for (const auto& [key, value] : params) options.params[key] = value;
+    try {
+      (void)make_driver_builder(options);
+    } catch (const std::invalid_argument& ex) {
+      return fail("sweep axes: " + std::string(ex.what()));
+    }
   }
-
-  std::vector<std::pair<std::string, std::string>> params = axes.params;
-  std::sort(params.begin(), params.end());
 
   SweepMatrix matrix;
   for (const std::string& workload : axes.workloads) {

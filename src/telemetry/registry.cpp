@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 
 namespace lssim {
@@ -108,37 +107,6 @@ const HistogramData* MetricsSnapshot::histogram(
     }
   }
   return nullptr;
-}
-
-MetricsSnapshot snapshot_delta(const MetricsSnapshot& later,
-                               const MetricsSnapshot& earlier) {
-  // Metrics are append-only, so earlier's slots must be a prefix of
-  // later's; a "later" snapshot with fewer slots is from a different
-  // registry (or the arguments are swapped), and subtracting would
-  // silently produce garbage deltas.
-  const auto check = [](std::size_t later_n, std::size_t earlier_n,
-                        const char* kind) {
-    if (later_n < earlier_n) {
-      throw std::invalid_argument(
-          std::string("snapshot_delta: 'later' has fewer ") + kind +
-          " slots (" + std::to_string(later_n) + ") than 'earlier' (" +
-          std::to_string(earlier_n) +
-          "); snapshots are not from the same registry in that order");
-    }
-  };
-  check(later.counters.size(), earlier.counters.size(), "counter");
-  check(later.histograms.size(), earlier.histograms.size(), "histogram");
-  check(later.gauges.size(), earlier.gauges.size(), "gauge");
-
-  MetricsSnapshot out = later;
-  for (std::size_t i = 0; i < earlier.counters.size(); ++i) {
-    out.counters[i] -= earlier.counters[i];
-  }
-  for (std::size_t i = 0; i < earlier.histograms.size(); ++i) {
-    out.histograms[i] -= earlier.histograms[i];
-  }
-  // Gauges are instantaneous: keep the later value.
-  return out;
 }
 
 Json snapshot_to_json(const MetricsSnapshot& snapshot) {

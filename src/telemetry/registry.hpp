@@ -1,15 +1,11 @@
-// Metrics registry: named counters, gauges and log-scale histograms with
-// O(1) hot-path updates.
+// Metrics registry: named counters, gauges and log-scale histograms, the
+// export form of a finished run's statistics.
 //
-// Components register metrics once at construction (slow path: a name /
-// label-set lookup) and receive a stable integer handle; every update is
-// then a plain indexed `uint64_t` bump — no maps, no strings, no hashing
-// on the fast path. Snapshots copy the value arrays; deltas subtract two
-// snapshots so epoch sampling composes with the existing EpochTimeline.
-//
-// Components hold a `MetricsRegistry*` that is null when telemetry is
-// disabled, so a disabled run pays one predictable branch per hook — the
-// same pattern as core/event_log.hpp.
+// The simulator counts everything in Stats (stats/stats.hpp). No
+// component registers or updates a metric while the run executes:
+// publish_metrics (machine/system.hpp) registers each metric once, after
+// the run, and sets it from Stats. Registration order is the order of
+// snapshots and of every JSON document built from them.
 #pragma once
 
 #include <cstdint>
@@ -95,19 +91,14 @@ class MetricsRegistry {
   GaugeHandle gauge(std::string name, MetricLabels labels = {});
   HistogramHandle histogram(std::string name, MetricLabels labels = {});
 
-  // --- hot path --------------------------------------------------------
+  // --- updates ---------------------------------------------------------
   void add(CounterHandle h, std::uint64_t delta = 1) noexcept {
     counters_[h.index] += delta;
   }
   void set(GaugeHandle h, std::int64_t value) noexcept {
     gauges_[h.index] = value;
   }
-  void observe(HistogramHandle h, std::uint64_t value) noexcept {
-    histograms_[h.index].observe(value);
-  }
-  /// Replaces a histogram's contents with one recorded elsewhere (the
-  /// scheduler keeps its latency histograms in Stats and publishes them
-  /// here once, at the end of the run).
+  /// Replaces a histogram's contents with one recorded in Stats.
   void set(HistogramHandle h, const HistogramData& data) noexcept {
     histograms_[h.index] = data;
   }
@@ -138,16 +129,6 @@ class MetricsRegistry {
   std::vector<std::int64_t> gauges_;
   std::vector<HistogramData> histograms_;
 };
-
-/// later - earlier, element-wise: counters and histogram buckets subtract,
-/// gauges keep the later value. Descriptors must match (same registry,
-/// `earlier` taken first); extra metrics registered after `earlier` are
-/// kept as-is. Throws std::invalid_argument when `later` has fewer slots
-/// of any kind than `earlier` — the snapshots cannot be from the same
-/// registry in that order, and a silent partial subtraction would corrupt
-/// every downstream epoch delta.
-[[nodiscard]] MetricsSnapshot snapshot_delta(const MetricsSnapshot& later,
-                                             const MetricsSnapshot& earlier);
 
 /// JSON document for a snapshot: an array of {name, kind, labels, value}
 /// (histograms carry buckets/samples/sum). Stable ordering.

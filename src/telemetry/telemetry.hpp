@@ -2,9 +2,11 @@
 // coherence-trace buffer and one tag-decision audit ring, constructed
 // from MachineConfig::telemetry.
 //
-// Components receive a `Telemetry*` and cache `metrics()` / `trace()` /
-// `audit()` pointers, which are null when the corresponding pillar is
-// disabled — every hot-path hook is then a single predictable branch.
+// Components receive a `Telemetry*` and cache the `trace()` / `audit()`
+// pointers, which are null when the corresponding pillar is disabled —
+// every hot-path hook is then a single predictable branch. No component
+// touches the registry: System::run fills it from Stats once, after the
+// run, when metrics are enabled (publish_metrics, machine/system.hpp).
 #pragma once
 
 #include "sim/config.hpp"
@@ -29,12 +31,6 @@ class Telemetry {
     return metrics_enabled_;
   }
 
-  /// The registry, or null when metrics are disabled. Components must
-  /// treat null as "skip the hook".
-  [[nodiscard]] MetricsRegistry* metrics() noexcept {
-    return metrics_enabled_ ? &registry_ : nullptr;
-  }
-
   /// The trace buffer, or null when tracing is disabled.
   [[nodiscard]] CoherenceTrace* trace() noexcept {
     return trace_.enabled() ? &trace_ : nullptr;
@@ -45,6 +41,8 @@ class Telemetry {
     return audit_.enabled() ? &audit_ : nullptr;
   }
 
+  /// Empty unless metrics are enabled and the run has finished.
+  [[nodiscard]] MetricsRegistry& registry() noexcept { return registry_; }
   [[nodiscard]] const MetricsRegistry& registry() const noexcept {
     return registry_;
   }

@@ -22,22 +22,26 @@ RunResult collect(const MachineConfig& config, const Stats& stats,
   }
   result.traffic_total = stats.messages_total();
   result.read_miss_home = stats.read_miss_home_state;
-  result.global_read_misses = stats.global_read_misses;
-  result.global_write_actions = stats.global_write_actions;
-  result.ownership_acquisitions = stats.ownership_acquisitions;
+  using K = ProtoEventKind;
+  result.global_read_misses = stats.events(K::kReadMiss);
+  result.global_write_actions =
+      stats.events(K::kWriteMiss) + stats.events(K::kUpgrade);
+  result.ownership_acquisitions = stats.events(K::kUpgrade);
   result.invalidations = stats.invalidations_sent;
   result.single_invalidations = stats.single_invalidations;
-  result.eliminated_acquisitions = stats.eliminated_acquisitions;
+  result.eliminated_acquisitions = stats.events(K::kLocalWrite);
   result.update_transactions = stats.update_transactions;
   result.updates_sent = stats.updates_sent;
   result.data_misses = stats.data_misses;
   result.coherence_misses = stats.coherence_misses;
   result.false_sharing_misses = stats.false_sharing_misses;
   result.accesses = stats.accesses;
-  result.l1_hits = stats.l1_hits;
-  result.l2_hits = stats.l2_hits;
-  result.blocks_tagged = stats.blocks_tagged;
-  result.blocks_detagged = stats.blocks_detagged;
+  for (const NodeCounts& n : stats.per_node) {
+    result.l1_hits += n.l1_hits;
+    result.l2_hits += n.l2_hits;
+  }
+  result.blocks_tagged = stats.events(K::kTag);
+  result.blocks_detagged = stats.events(K::kDetag);
   result.dir_entry_evictions = stats.dir_entry_evictions;
   LoadStoreOracle& oracle = memory.oracle();
   result.oracle_total = oracle.total();

@@ -28,7 +28,7 @@ TEST_F(AdTest, DetectsMigratorySharing) {
   EXPECT_EQ(f_.state_of(3, a), CacheState::kLStemp);
   const AccessResult w = f_.write(3, a);
   EXPECT_EQ(w.latency, 1u);
-  EXPECT_EQ(f_.stats().eliminated_acquisitions, 1u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kLocalWrite), 1u);
 }
 
 TEST_F(AdTest, DoesNotTagSingleProcessorLoadStore) {
@@ -54,7 +54,7 @@ TEST_F(AdTest, DoesNotTagReplacementBrokenSequences) {
   (void)f_.read(2, a);      // Cold shared read: only {2} caches it.
   (void)f_.write(2, a);     // Others empty: no migratory evidence.
   EXPECT_FALSE(f_.dir(a).tagged);
-  EXPECT_EQ(f_.stats().eliminated_acquisitions, 0u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kLocalWrite), 0u);
 }
 
 TEST_F(AdTest, ThreeSharersBlockDetection) {
@@ -167,7 +167,7 @@ TEST_F(AdTest, AdNeverSendsNotLsForUntaggedBlocks) {
   (void)f_.read(1, a);
   (void)f_.write(1, a);
   (void)f_.read(2, a);
-  EXPECT_EQ(f_.stats().notls_messages, 0u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kNotLs), 0u);
 }
 
 }  // namespace

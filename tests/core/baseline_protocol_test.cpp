@@ -54,7 +54,7 @@ TEST_F(BaselineTest, UpgradeInvalidatesAllOtherSharers) {
   EXPECT_EQ(f_.state_of(0, a), CacheState::kInvalid);
   EXPECT_EQ(f_.state_of(2, a), CacheState::kInvalid);
   EXPECT_EQ(f_.stats().invalidations_sent, 2u);
-  EXPECT_EQ(f_.stats().ownership_acquisitions, 1u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kUpgrade), 1u);
   EXPECT_EQ(f_.stats().single_invalidations, 0u);
   EXPECT_TRUE(f_.ms().check_coherence_invariants());
 }
@@ -133,8 +133,8 @@ TEST_F(BaselineTest, BaselineNeverTagsOrGivesExclusiveReads) {
     f_.force_eviction(0, a);
   }
   EXPECT_EQ(f_.stats().exclusive_read_replies, 0u);
-  EXPECT_EQ(f_.stats().blocks_tagged, 0u);
-  EXPECT_EQ(f_.stats().eliminated_acquisitions, 0u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kTag), 0u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kLocalWrite), 0u);
 }
 
 TEST_F(BaselineTest, ValuesFlowThroughProtocol) {

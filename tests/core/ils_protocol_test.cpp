@@ -56,7 +56,7 @@ TEST_F(IlsTest, ConfidentSiteGetsExclusiveCopy) {
   // The store completes locally.
   const AccessResult w = write_site(1, a, 1);
   EXPECT_EQ(w.latency, 1u);
-  EXPECT_EQ(f_.stats().eliminated_acquisitions, 1u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kLocalWrite), 1u);
   EXPECT_TRUE(f_.ms().check_coherence_invariants());
 }
 
@@ -117,7 +117,7 @@ TEST_F(IlsTest, DirectoryTagNeverSetUnderIls) {
     (void)read_site(3, a, kSite);
     (void)write_site(3, a, 1);
   }
-  EXPECT_EQ(f_.stats().blocks_tagged, 0u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kTag), 0u);
   f_.ms().directory().for_each([](Addr, const DirEntry& e) {
     EXPECT_FALSE(e.tagged);
   });

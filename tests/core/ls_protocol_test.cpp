@@ -17,7 +17,7 @@ TEST_F(LsTest, UpgradeByLastReaderTagsBlock) {
   (void)f_.read(1, a);   // LR := 1.
   (void)f_.write(1, a);  // Ownership request from LR -> tag LS.
   EXPECT_TRUE(f_.dir(a).tagged);
-  EXPECT_EQ(f_.stats().blocks_tagged, 1u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kTag), 1u);
 }
 
 TEST_F(LsTest, UpgradeByOtherReaderDoesNotTag) {
@@ -50,7 +50,7 @@ TEST_F(LsTest, WriteOnLStempIsLocalAndEliminatesOwnership) {
   const AccessResult w = f_.write(2, a, 5);
   EXPECT_EQ(w.latency, 1u);  // Pure L1 hit: zero write stall.
   EXPECT_EQ(f_.stats().messages_total(), msgs_before);  // Zero traffic.
-  EXPECT_EQ(f_.stats().eliminated_acquisitions, 1u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kLocalWrite), 1u);
   EXPECT_EQ(f_.state_of(2, a), CacheState::kModified);
   EXPECT_TRUE(f_.ms().check_coherence_invariants());
 }
@@ -64,7 +64,7 @@ TEST_F(LsTest, MigratoryChainStaysOptimized) {
     (void)f_.write(n, a, n);
   }
   // Every write after tagging was local: 4 eliminations.
-  EXPECT_EQ(f_.stats().eliminated_acquisitions, 4u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kLocalWrite), 4u);
   EXPECT_TRUE(f_.dir(a).tagged);
 }
 
@@ -115,8 +115,8 @@ TEST_F(LsTest, ForeignReadOnLStempDetagsAndShares) {
   EXPECT_EQ(f_.state_of(3, a), CacheState::kShared);
   EXPECT_EQ(f_.dir(a).state, DirState::kShared);
   EXPECT_FALSE(f_.dir(a).tagged);
-  EXPECT_EQ(f_.stats().blocks_detagged, 1u);
-  EXPECT_EQ(f_.stats().notls_messages, 1u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kDetag), 1u);
+  EXPECT_EQ(f_.stats().events(ProtoEventKind::kNotLs), 1u);
   EXPECT_TRUE(f_.ms().check_coherence_invariants());
 }
 
@@ -189,7 +189,7 @@ TEST_F(LsTest, DefaultTaggedGivesExclusiveColdReads) {
   EXPECT_EQ(f.state_of(1, a), CacheState::kLStemp);
   const AccessResult w = f.write(1, a);
   EXPECT_EQ(w.latency, 1u);
-  EXPECT_EQ(f.stats().eliminated_acquisitions, 1u);
+  EXPECT_EQ(f.stats().events(ProtoEventKind::kLocalWrite), 1u);
 }
 
 TEST_F(LsTest, TagHysteresisRequiresTwoSequences) {

@@ -19,7 +19,7 @@ TEST(ProtocolEdge, SingleNodeMachineNeverSendsMessages) {
     (void)f.write(0, static_cast<Addr>(i) * 16, i);
   }
   EXPECT_EQ(f.stats().messages_total(), 0u);  // All transactions local.
-  EXPECT_GT(f.stats().global_read_misses, 0u);
+  EXPECT_GT(f.stats().events(ProtoEventKind::kReadMiss), 0u);
   EXPECT_TRUE(f.ms().check_coherence_invariants());
 }
 
@@ -71,7 +71,7 @@ TEST(ProtocolEdge, TagDetagChurnStaysConsistent) {
     }
     EXPECT_TRUE(f.ms().check_coherence_invariants()) << "round " << round;
   }
-  EXPECT_GT(f.stats().blocks_detagged, 5u);
+  EXPECT_GT(f.stats().events(ProtoEventKind::kDetag), 5u);
 }
 
 TEST(ProtocolEdge, TrafficClassesCoverAllMessages) {
@@ -149,7 +149,7 @@ TEST(ProtocolEdge, RmwOnTaggedBlockCountsAsEliminated) {
   const AccessResult r = f.fetch_add(2, a, 10);
   EXPECT_EQ(r.value, 5u);
   EXPECT_EQ(r.latency, 1u);
-  EXPECT_EQ(f.stats().eliminated_acquisitions, 1u);
+  EXPECT_EQ(f.stats().events(ProtoEventKind::kLocalWrite), 1u);
 }
 
 }  // namespace

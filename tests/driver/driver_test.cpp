@@ -242,6 +242,18 @@ TEST(DriverOptions, ParseSizeSuffixes) {
   EXPECT_FALSE(parse_size("12x", &v));
 }
 
+TEST(DriverOptions, ParseU64TakesTheWholeUnsignedString) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_u64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", &v));
+  EXPECT_EQ(v, ~std::uint64_t{0});
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "12x", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad, &v)) << "'" << bad << "'";
+  }
+}
+
 TEST(DriverOptions, HelpFlag) {
   DriverOptions options;
   std::string error;
@@ -276,6 +288,57 @@ TEST(DriverRunner, RejectsUnknownParameter) {
   options.params["bogus_param"] = "1";
   EXPECT_THROW((void)run_driver_workload(options, ProtocolKind::kBaseline),
                std::invalid_argument);
+}
+
+// The workload factory validates every --set value. These tests only
+// build the workload, never simulate it, so a value that slips through
+// cannot start a run.
+struct ParamCase {
+  const char* workload;
+  const char* key;
+  const char* value;
+};
+
+TEST(DriverRunner, RejectsMalformedParameterValues) {
+  const ParamCase cases[] = {
+      {"pingpong", "rounds", "abc"},
+      {"pingpong", "rounds", "2x"},
+      {"pingpong", "rounds", ""},
+      {"pingpong", "rounds", " 5"},
+      {"pingpong", "rounds", "99999999999"},  // Beyond int.
+      {"private", "words_per_proc", "-1"},    // Sign on an unsigned field.
+      {"private", "words_per_proc", "+1"},
+      {"private", "words_per_proc", "18446744073709551616"},
+      {"oltp", "think_cycles", "-3"},
+      {"oltp", "lookup_fraction", "0.5x"},
+      {"oltp", "lookup_fraction", "nan"},
+      {"oltp", "lookup_fraction", "inf"},
+      {"mp3d", "seed", "1e3"},
+  };
+  for (const ParamCase& c : cases) {
+    DriverOptions options;
+    options.workload = c.workload;
+    options.params[c.key] = c.value;
+    EXPECT_THROW((void)make_driver_builder(options), std::invalid_argument)
+        << c.workload << " " << c.key << "='" << c.value << "'";
+  }
+}
+
+TEST(DriverRunner, AcceptsParameterValuesAtTheirRangeEdges) {
+  const ParamCase cases[] = {
+      {"pingpong", "rounds", "2147483647"},
+      {"pingpong", "rounds", "-2147483648"},
+      {"private", "words_per_proc", "18446744073709551615"},
+      {"oltp", "lookup_fraction", "0.25"},
+      {"oltp", "lookup_fraction", "1e-1"},
+  };
+  for (const ParamCase& c : cases) {
+    DriverOptions options;
+    options.workload = c.workload;
+    options.params[c.key] = c.value;
+    EXPECT_NO_THROW((void)make_driver_builder(options))
+        << c.workload << " " << c.key << "='" << c.value << "'";
+  }
 }
 
 TEST(DriverRunner, RejectsInvalidMachine) {

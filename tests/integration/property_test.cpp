@@ -104,7 +104,7 @@ TEST_P(ProtocolProperty, RandomStreamKeepsInvariantsAndValues) {
   EXPECT_LE(stats.coherence_misses, stats.data_misses);
   std::uint64_t by_state = 0;
   for (auto c : stats.read_miss_home_state) by_state += c;
-  EXPECT_EQ(by_state, stats.global_read_misses);
+  EXPECT_EQ(by_state, stats.events(ProtoEventKind::kReadMiss));
 }
 
 INSTANTIATE_TEST_SUITE_P(

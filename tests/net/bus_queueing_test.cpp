@@ -73,17 +73,13 @@ TEST(BusQueueing, RoundRobinIdleMatchesFcfs) {
 
 TEST(BusQueueing, QueueDelayHistogramMatchesTotalQueueing) {
   Stats stats(4);
-  MetricsRegistry metrics;
-  SnoopBus bus(4, test_lat(), stats, BusArbitration::kFcfs, &metrics);
+  SnoopBus bus(4, test_lat(), stats, BusArbitration::kFcfs);
   (void)bus.send(0, 1, MsgType::kReadReq, 0);
   (void)bus.send(1, 0, MsgType::kDataShared, 0);
   (void)bus.send(2, 3, MsgType::kInval, 4);
   ASSERT_GT(bus.total_queueing(), 0u);
-  const MetricsSnapshot snap = metrics.snapshot();
-  const HistogramData* queue = snap.histogram("net.queue_delay");
-  ASSERT_NE(queue, nullptr);
-  EXPECT_EQ(queue->samples, 3u);
-  EXPECT_EQ(queue->sum, bus.total_queueing());
+  EXPECT_EQ(stats.queue_delay.samples, 3u);
+  EXPECT_EQ(stats.queue_delay.sum, bus.total_queueing());
 }
 
 // End-to-end pin: a real contended workload on the bus exports nonzero

@@ -232,7 +232,8 @@ TEST(TagAuditEngine, AuditOffRecordsNothing) {
   (void)f.read(1, a);
   (void)f.write(1, a);
   EXPECT_EQ(telemetry.audit_log().total(), 0u);
-  EXPECT_EQ(f.stats().blocks_tagged, 1u);  // The tag itself still happens.
+  // The tag itself still happens.
+  EXPECT_EQ(f.stats().events(ProtoEventKind::kTag), 1u);
 }
 
 // --- Driver-level cross-check ---------------------------------------------

@@ -1,9 +1,9 @@
-// Ownership-latency profiling: the engine feeds per-access-type
-// histograms, the latency report carries p50/p95/p99 for every
-// protocol, and — the paper's headline effect — LS's write-miss+upgrade
-// latency distribution dominates Baseline's on the pingpong workload,
-// because load-store sequences turn most ownership transactions into
-// local writes.
+// Ownership-latency profiling: the engine records per-access-type
+// histograms in Stats, publish_metrics exports them, the latency report
+// carries p50/p95/p99 for every protocol, and — the paper's headline
+// effect — LS's write-miss+upgrade latency distribution dominates
+// Baseline's on the pingpong workload, because load-store sequences turn
+// most ownership transactions into local writes.
 #include "telemetry/latency_report.hpp"
 
 #include <gtest/gtest.h>
@@ -14,25 +14,25 @@
 
 #include "../core/protocol_test_util.hpp"
 #include "driver/runner.hpp"
+#include "machine/system.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/telemetry.hpp"
+#include "workloads/micro.hpp"
 
 namespace lssim {
 namespace {
 
 TEST(LatencyProfile, EngineObservesEachAccessTypeSeparately) {
-  MachineConfig cfg = ProtocolFixture::tiny(ProtocolKind::kBaseline);
-  cfg.telemetry.metrics = true;
-  Telemetry telemetry(cfg.telemetry);
-  ProtocolFixture f(cfg, &telemetry);
+  ProtocolFixture f(ProtocolFixture::tiny(ProtocolKind::kBaseline));
   const Addr a = f.on_home(0);
   const Addr b = f.on_home(1);
   (void)f.read(1, a);   // Read miss.
   (void)f.write(1, a);  // Upgrade (Shared copy in node 1's cache).
   (void)f.write(2, b);  // Write miss (no preceding read).
 
-  const MetricsSnapshot snap = telemetry.registry().snapshot();
+  MetricsRegistry registry;
+  publish_metrics(f.stats(), f.ms(), 0, registry);
+  const MetricsSnapshot snap = registry.snapshot();
   const HistogramData* read_miss =
       snap.histogram("ownership.latency{op=read-miss}");
   const HistogramData* write_miss =
@@ -52,12 +52,11 @@ TEST(LatencyProfile, EngineObservesEachAccessTypeSeparately) {
 }
 
 TEST(LatencyProfile, MetricsOffRegistersNoHistograms) {
-  MachineConfig cfg = ProtocolFixture::tiny(ProtocolKind::kLs);
-  Telemetry telemetry(cfg.telemetry);
-  ProtocolFixture f(cfg, &telemetry);
-  (void)f.read(1, f.on_home(0));
-  (void)f.write(1, f.on_home(0));
-  EXPECT_EQ(telemetry.registry().num_metrics(), 0u);
+  System sys(ProtocolFixture::tiny(ProtocolKind::kLs));
+  build_pingpong(sys, PingPongParams{.rounds = 10});
+  sys.run();
+  EXPECT_GT(sys.stats().ownership_latency[0].samples, 0u);
+  EXPECT_EQ(sys.telemetry().registry().num_metrics(), 0u);
 }
 
 // Acceptance: the --latency-out report carries per-protocol p50/p95/p99

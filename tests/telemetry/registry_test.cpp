@@ -1,12 +1,11 @@
-// Tests for the metrics registry: handle stability, snapshot/delta
-// semantics, log-scale histogram bucketing, and JSON round-trips.
+// Tests for the metrics registry: handle stability, snapshot semantics,
+// log-scale histogram bucketing, and JSON round-trips.
 #include "telemetry/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
-#include <stdexcept>
 
 namespace lssim {
 namespace {
@@ -87,65 +86,6 @@ TEST(RegistryTest, SnapshotIsSelfContained) {
   EXPECT_EQ(reg.value(c), 107u);
 }
 
-TEST(RegistryTest, SnapshotDeltaSubtractsCountersKeepsGauges) {
-  MetricsRegistry reg;
-  const CounterHandle c = reg.counter("msgs");
-  const GaugeHandle g = reg.gauge("depth");
-  const HistogramHandle h = reg.histogram("lat");
-  reg.add(c, 10);
-  reg.set(g, 4);
-  reg.observe(h, 100);
-  const MetricsSnapshot before = reg.snapshot();
-  reg.add(c, 5);
-  reg.set(g, 9);
-  reg.observe(h, 100);
-  reg.observe(h, 2000);
-  const MetricsSnapshot after = reg.snapshot();
-
-  const MetricsSnapshot delta = snapshot_delta(after, before);
-  EXPECT_EQ(delta.counter_value("msgs"), 5u);
-  ASSERT_EQ(delta.gauges.size(), 1u);
-  EXPECT_EQ(delta.gauges[0], 9);  // Instantaneous: later value.
-  ASSERT_EQ(delta.histograms.size(), 1u);
-  EXPECT_EQ(delta.histograms[0].samples, 2u);
-  EXPECT_EQ(delta.histograms[0].sum, 2100u);
-}
-
-TEST(RegistryTest, DeltaThrowsWhenLaterSnapshotHasFewerSlots) {
-  // Passing snapshots from different registries (or in the wrong order)
-  // used to under- or over-subtract silently; now it throws.
-  MetricsRegistry big;
-  big.add(big.counter("a"), 1);
-  big.add(big.counter("b"), 2);
-  big.observe(big.histogram("h1"), 10);
-  big.observe(big.histogram("h2"), 10);
-  big.set(big.gauge("g1"), 1);
-  big.set(big.gauge("g2"), 2);
-  const MetricsSnapshot earlier = big.snapshot();
-
-  MetricsRegistry small;
-  small.add(small.counter("a"), 1);
-  small.observe(small.histogram("h1"), 10);
-  small.set(small.gauge("g1"), 1);
-  EXPECT_THROW(snapshot_delta(small.snapshot(), earlier),
-               std::invalid_argument);
-  // The reverse order is the documented contract and still works.
-  const MetricsSnapshot delta = snapshot_delta(earlier, small.snapshot());
-  EXPECT_EQ(delta.counter_value("b"), 2u);
-}
-
-TEST(RegistryTest, DeltaToleratesMetricsRegisteredAfterEarlierSnapshot) {
-  MetricsRegistry reg;
-  const CounterHandle c = reg.counter("a");
-  reg.add(c, 2);
-  const MetricsSnapshot before = reg.snapshot();
-  const CounterHandle late = reg.counter("b");
-  reg.add(late, 30);
-  const MetricsSnapshot delta = snapshot_delta(reg.snapshot(), before);
-  EXPECT_EQ(delta.counter_value("a"), 0u);
-  EXPECT_EQ(delta.counter_value("b"), 30u);  // Kept as-is.
-}
-
 TEST(RegistryTest, CounterTotalSumsAcrossLabelSets) {
   MetricsRegistry reg;
   reg.add(reg.counter("hits", {{"node", "0"}}), 3);
@@ -160,9 +100,10 @@ TEST(RegistryTest, SnapshotJsonRoundTrip) {
   MetricsRegistry reg;
   reg.add(reg.counter("c", {{"node", "2"}}), 123456789012345ull);
   reg.set(reg.gauge("g"), -17);
-  const HistogramHandle h = reg.histogram("h");
-  reg.observe(h, 0);
-  reg.observe(h, 300);
+  HistogramData data;
+  data.observe(0);
+  data.observe(300);
+  reg.set(reg.histogram("h"), data);
   const MetricsSnapshot snap = reg.snapshot();
 
   const Json doc = snapshot_to_json(snap);
@@ -196,7 +137,9 @@ TEST(RegistryTest, SnapshotFromJsonRejectsMalformedInput) {
 TEST(RegistryTest, PrintMetricsListsEveryMetric) {
   MetricsRegistry reg;
   reg.add(reg.counter("alpha"), 1);
-  reg.observe(reg.histogram("beta"), 64);
+  HistogramData beta;
+  beta.observe(64);
+  reg.set(reg.histogram("beta"), beta);
   std::ostringstream os;
   print_metrics(os, reg.snapshot());
   const std::string text = os.str();

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for the observability artifacts.
 
-Runs the lssim_run driver (path via $LSSIM_RUN) with all three
-observability outputs enabled on a small five-protocol pingpong sweep,
+Runs the lssim_run driver (path via $LSSIM_RUN) with the observability
+outputs and the run manifest enabled on a small five-protocol pingpong sweep,
 then validates every artifact with tools/check_observability.py (path
 via $CHECK_OBSERVABILITY) — the same validator the CI smoke step uses.
 Also asserts the validator actually rejects corrupted artifacts, so a
@@ -40,6 +40,7 @@ class ObservabilitySmokeTest(unittest.TestCase):
         cls.latency = os.path.join(cls.tmp.name, "latency.json")
         cls.audit = os.path.join(cls.tmp.name, "audit.jsonl")
         cls.heartbeat = os.path.join(cls.tmp.name, "heartbeat.jsonl")
+        cls.manifest = os.path.join(cls.tmp.name, "manifest.json")
         proc = subprocess.run(
             [
                 LSSIM_RUN,
@@ -49,6 +50,7 @@ class ObservabilitySmokeTest(unittest.TestCase):
                 "--audit-out", cls.audit,
                 "--heartbeat-out", cls.heartbeat,
                 "--heartbeat-interval", "0",
+                "--manifest-out", cls.manifest,
             ],
             capture_output=True,
             text=True,
@@ -117,6 +119,26 @@ class ObservabilitySmokeTest(unittest.TestCase):
         proc = run_check("--audit", bad)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("retained", proc.stderr)
+
+    def test_manifest_metrics_agree_with_results(self):
+        proc = run_check("--manifest", self.manifest)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("manifest OK: 5 run(s)", proc.stdout)
+
+    def test_validator_rejects_manifest_with_drifted_counter(self):
+        with open(self.manifest) as f:
+            doc = json.load(f)
+        # One node's upgrade count no longer sums to the run's ownership
+        # acquisitions.
+        metric = next(m for m in doc["runs"][2]["metrics"]
+                      if m["name"] == "coherence.upgrade")
+        metric["value"] += 1
+        bad = os.path.join(self.tmp.name, "bad_manifest.json")
+        with open(bad, "w") as f:
+            json.dump(doc, f)
+        proc = run_check("--manifest", bad)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("coherence.upgrade", proc.stderr)
 
 
 if __name__ == "__main__":

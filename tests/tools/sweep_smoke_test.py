@@ -115,6 +115,20 @@ class SweepSmokeTest(unittest.TestCase):
             run_sweep(*SMALL_MATRIX, "--store", "x", "--shard", "3/2")
             .returncode, 2)
 
+    def test_malformed_numbers_exit_2_before_running(self):
+        # --count expands the matrix and stops: no unit and no worker
+        # thread starts, whatever the parser makes of the value.
+        for bad in (["--jobs", "abc"], ["--jobs", "5000"],
+                    ["--jobs", "-1"], ["--seed", "12x"],
+                    ["--max-cycles", "5x"], ["--batch", "3x"],
+                    ["--batch", "0"], ["--set", "rounds=abc"],
+                    ["--set", "rounds=2x"]):
+            proc = run_sweep(*SMALL_MATRIX, *bad, "--count")
+            self.assertEqual(proc.returncode, 2, (bad, proc.stderr))
+        proc = run_sweep(*SMALL_MATRIX, "--jobs", "1024", "--seed", "7",
+                         "--max-cycles", "5", "--batch", "3", "--count")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
     def test_refuses_non_store_file_without_clobbering(self):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "precious.txt")

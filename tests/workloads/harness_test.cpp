@@ -30,8 +30,9 @@ TEST(Harness, CollectMatchesStats) {
   EXPECT_EQ(r.traffic[0], stats.messages_of_class(MsgClass::kRead));
   EXPECT_EQ(r.traffic[1], stats.messages_of_class(MsgClass::kWrite));
   EXPECT_EQ(r.traffic[2], stats.messages_of_class(MsgClass::kOther));
-  EXPECT_EQ(r.global_read_misses, stats.global_read_misses);
-  EXPECT_EQ(r.eliminated_acquisitions, stats.eliminated_acquisitions);
+  EXPECT_EQ(r.global_read_misses, stats.events(ProtoEventKind::kReadMiss));
+  EXPECT_EQ(r.eliminated_acquisitions,
+            stats.events(ProtoEventKind::kLocalWrite));
   EXPECT_EQ(r.time.busy, stats.time_total().busy);
   EXPECT_EQ(r.oracle_total.global_writes,
             sys.memory().oracle().total().global_writes);

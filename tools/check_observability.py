@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Schema validator for lssim's observability artifacts.
 
-Validates the three transaction-level observability outputs
+Validates the transaction-level observability outputs
 (docs/OBSERVABILITY.md):
 
   * --latency-out   ownership-latency report (JSON)
   * --audit-out     tag-decision audit trail (JSONL)
   * --heartbeat-out progress heartbeats (JSONL)
+  * --manifest-out  run manifest (JSON): each run's published metrics
+                    must agree with its result through the identities
+                    listed under "Metrics registry"
 
 Used by the CI observability smoke step and the ctest wrapper
 (tests/tools/observability_smoke_test.py); exits non-zero with a
@@ -17,7 +20,8 @@ Usage:
   check_observability.py --latency FILE [--protocols A,B,...]
   check_observability.py --audit FILE [--protocols A,B,...]
   check_observability.py --heartbeat FILE
-(any combination of the three may be given in one invocation)
+  check_observability.py --manifest FILE
+(any combination may be given in one invocation)
 """
 
 import argparse
@@ -194,17 +198,98 @@ def check_heartbeat(path):
     return lines
 
 
+def check_manifest(path):
+    with open(path, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    runs = doc.get("runs") if isinstance(doc, dict) else None
+    if not isinstance(runs, list) or not runs:
+        fail("manifest: 'runs' must be a non-empty array")
+    for index, run in enumerate(runs):
+        result = run.get("result")
+        metrics = run.get("metrics")
+        if not isinstance(result, dict) or not isinstance(metrics, list):
+            fail("manifest run %d: needs 'result' and 'metrics' (metrics "
+                 "were off?)" % index)
+        label = "manifest run %d (%s@%s@%s)" % (
+            index, result.get("protocol"), result.get("directory"),
+            result.get("interconnect"))
+        counters = {}   # name -> {node label (or None): value}
+        histograms = {}  # name{op} -> samples
+        gauges = {}
+        for m in metrics:
+            name = m.get("name")
+            labels = m.get("labels", {})
+            if m.get("kind") == "counter":
+                counters.setdefault(name, {})[labels.get("node")] = m["value"]
+            elif m.get("kind") == "histogram":
+                key = name + ("{%s}" % labels["op"] if "op" in labels else "")
+                histograms[key] = m["samples"]
+            else:
+                gauges[name] = m["value"]
+
+        def total(name):
+            return sum(counters.get(name, {}).values())
+
+        def node(name, n):
+            return counters.get(name, {}).get(n, 0)
+
+        def expect(what, have, want):
+            if have != want:
+                fail("%s: %s is %r, expected %r" % (label, what, have, want))
+
+        ev = lambda kind: total("coherence." + kind)
+        expect("sum coherence.read-miss", ev("read-miss"),
+               result["global_read_misses"])
+        expect("sum coherence.upgrade", ev("upgrade"),
+               result["ownership_acquisitions"])
+        expect("sum coherence.write-miss + upgrade",
+               ev("write-miss") + ev("upgrade"),
+               result["global_write_actions"])
+        expect("sum coherence.local-write", ev("local-write"),
+               result["eliminated_acquisitions"])
+        expect("sum coherence.tag", ev("tag"), result["blocks_tagged"])
+        expect("sum coherence.detag", ev("detag"), result["blocks_detagged"])
+        expect("net.messages", total("net.messages"),
+               result["traffic"]["total"])
+        expect("net.queue_delay samples", histograms.get("net.queue_delay"),
+               result["traffic"]["total"])
+        expect("sum cache.l1_refills", total("cache.l1_refills"),
+               result["l2_hits"])
+        expect("sum sys.accesses", total("sys.accesses"), result["accesses"])
+        expect("accesses", result["accesses"],
+               result["l1_hits"] + result["l2_hits"] + ev("read-miss") +
+               ev("write-miss") + ev("upgrade"))
+        expect("sys.read_latency + sys.write_latency samples",
+               histograms.get("sys.read_latency", 0) +
+               histograms.get("sys.write_latency", 0), result["accesses"])
+        expect("sys.exec_cycles", gauges.get("sys.exec_cycles"),
+               result["exec_cycles"])
+        for op in LATENCY_OPS:
+            expect("ownership.latency{%s} samples" % op,
+                   histograms.get("ownership.latency{%s}" % op), ev(op))
+        for n in counters.get("coherence.read-miss", {}):
+            c = lambda kind: node("coherence." + kind, n)
+            expect("cache.l2_fills{node=%s}" % n, node("cache.l2_fills", n),
+                   c("read-miss") + c("write-miss"))
+            expect("cache.l2_evictions{node=%s}" % n,
+                   node("cache.l2_evictions", n),
+                   c("writeback") + c("repl-hint"))
+    return len(runs)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--latency", help="ownership-latency report (JSON)")
     parser.add_argument("--audit", help="tag-decision audit trail (JSONL)")
     parser.add_argument("--heartbeat", help="heartbeat stream (JSONL)")
+    parser.add_argument("--manifest", help="run manifest (JSON)")
     parser.add_argument("--protocols", default="",
                         help="comma-separated protocol names that must "
                              "appear in --latency/--audit")
     args = parser.parse_args()
-    if not (args.latency or args.audit or args.heartbeat):
-        parser.error("give at least one of --latency/--audit/--heartbeat")
+    if not (args.latency or args.audit or args.heartbeat or args.manifest):
+        parser.error("give at least one of "
+                     "--latency/--audit/--heartbeat/--manifest")
     protocols = [p for p in args.protocols.split(",") if p]
 
     try:
@@ -217,8 +302,15 @@ def main():
         if args.heartbeat:
             n = check_heartbeat(args.heartbeat)
             print("heartbeat OK: %d line(s)" % n)
+        if args.manifest:
+            n = check_manifest(args.manifest)
+            print("manifest OK: %d run(s)" % n)
     except SchemaError as ex:
         print("check_observability: %s" % ex, file=sys.stderr)
+        return 1
+    except (KeyError, TypeError, AttributeError) as ex:
+        print("check_observability: malformed artifact (%s: %s)"
+              % (type(ex).__name__, ex), file=sys.stderr)
         return 1
     return 0
 

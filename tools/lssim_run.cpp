@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "core/directory_registry.hpp"
 #include "core/protocol_registry.hpp"
@@ -55,6 +56,12 @@ int main(int argc, char** argv) {
   if (!driver_knows_workload(options.workload)) {
     std::fprintf(stderr, "lssim_run: unknown workload '%s'\n\n%s",
                  options.workload.c_str(), driver_usage().c_str());
+    return 2;
+  }
+  try {
+    (void)make_driver_builder(options);  // Bad --set values are usage errors.
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "lssim_run: %s\n", ex.what());
     return 2;
   }
 

@@ -235,8 +235,9 @@ int main(int argc, char** argv) {
       axes.params.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       const char* v = value("--seed");
-      if (v == nullptr) return usage("--seed needs a number");
-      axes.seed = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !parse_u64(v, &axes.seed)) {
+        return usage("--seed needs a number");
+      }
     } else if (std::strcmp(argv[i], "--include") == 0) {
       const char* v = value("--include");
       if (v == nullptr) return usage("--include needs a substring");
@@ -247,8 +248,11 @@ int main(int argc, char** argv) {
       axes.exclude.emplace_back(v);
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       const char* v = value("--jobs");
-      if (v == nullptr) return usage("--jobs needs a number");
-      run_options.jobs = std::atoi(v);
+      std::uint64_t jobs = 0;
+      if (v == nullptr || !parse_u64(v, &jobs) || jobs > 1024) {
+        return usage("--jobs needs a number in 0..1024 (0 = all cores)");
+      }
+      run_options.jobs = static_cast<int>(jobs);
     } else if (std::strcmp(argv[i], "--shard") == 0) {
       const char* v = value("--shard");
       int index = 0;
@@ -261,16 +265,18 @@ int main(int argc, char** argv) {
       run_options.shard_count = count;
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       const char* v = value("--batch");
-      if (v == nullptr || std::atoi(v) < 1) {
+      std::uint64_t batch = 0;
+      if (v == nullptr || !parse_u64(v, &batch) || batch < 1) {
         return usage("--batch needs a positive count");
       }
-      run_options.batch = static_cast<std::size_t>(std::atoi(v));
+      run_options.batch = static_cast<std::size_t>(batch);
     } else if (std::strcmp(argv[i], "--no-timing") == 0) {
       run_options.record_timing = false;
     } else if (std::strcmp(argv[i], "--max-cycles") == 0) {
       const char* v = value("--max-cycles");
-      if (v == nullptr) return usage("--max-cycles needs a number");
-      axes.base.max_cycles = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !parse_u64(v, &axes.base.max_cycles)) {
+        return usage("--max-cycles needs a number");
+      }
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else if (std::strcmp(argv[i], "--list") == 0) {
